@@ -446,7 +446,8 @@ def _cmd_simulate(cfg, threads, parser):
     for v in vertices:
         if v.depth > base.depth:
             parser.error(f"tracked vertex depth {v.depth} exceeds flow depth {base.depth}")
-    if cfg.get("save_flow") is not None and replicas != 1:
+    save = cfg.get("save_flow") is not None
+    if save and replicas != 1:
         parser.error("--save-flow requires --replicas 1")
 
     seeds = derive_seeds(int(cfg["seed"]), replicas)
@@ -455,7 +456,8 @@ def _cmd_simulate(cfg, threads, parser):
         path = engine.simulate_path(base, spec, grid, seed=int(seeds[r]))
         roots = path.root_masses()
         vmass = path.vertex_mass_series(vertices) if vertices else None
-        return roots, vmass
+        final = path.snapshot(path.n_snapshots - 1) if save else None
+        return roots, vmass, final
 
     results = parallel_map(one, range(replicas), threads=threads)
 
@@ -478,11 +480,8 @@ def _cmd_simulate(cfg, threads, parser):
             cfg["vertex_output"],
         )
 
-    if cfg.get("save_flow") is not None:
-        path = engine.simulate_path(
-            base, spec, grid, seed=int(seeds[0]), snapshot_times=[float(grid[-1])]
-        )
-        save_flow(path.snapshot(0), cfg["save_flow"])
+    if save:
+        save_flow(results[0][2], cfg["save_flow"])
     return 0
 
 
@@ -584,6 +583,8 @@ def _cmd_kpz(cfg, threads, parser):
     ray_set = kpz.EVEN_FREE if cfg["ray_set"] == "even_free" else kpz.FULL
     depth = int(cfg["depth"])
     t = float(cfg["t"])
+    if t < 0:
+        parser.error("--t must be nonnegative")
     raw = cfg["scale_exponents"]
     exps = [int(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
     if any(m < 1 for m in exps) or len(exps) < 2:

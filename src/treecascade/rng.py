@@ -12,21 +12,15 @@ Consequences that the rest of the package relies on:
   refinements of the same seed are coupled realizations,
 * replica parallelism cannot change results, whatever the scheduler does.
 
-The cipher is implemented twice, as a numba kernel (fast path, scalar key)
-and in vectorized numpy (fallback, also supports per-replica key arrays).
-Both are checked against ``numpy.random.Philox`` raw output in the tests.
+Blocks come from numpy's C implementation, ``numpy.random.Philox``: each
+thread keeps one generator and sets it to the wanted counter and key before
+every draw.  ``philox4x64`` is a pure-python reference the tests check it
+against.
 """
 
-import os
+import threading
 
 import numpy as np
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = os.environ.get("CASCADE_NO_NUMBA", "") == ""
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
 
 # Philox-4x64 round multipliers and Weyl key increments.
 _M0 = 0xD2E7470EE14C6C93
@@ -34,8 +28,10 @@ _M1 = 0xCA5A826395121157
 _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 _ROUNDS = 10
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+_NO_BUFFER = (0, 0, 0, 0)
+_local = threading.local()
 
 # Key-lane tags keeping unrelated draw families in disjoint counter spaces.
 PURPOSE_INCREMENT = 0
@@ -74,131 +70,74 @@ def philox4x64(counter, key):
     return x0, x1, x2, x3
 
 
-def _mulhi(mh, ml, x):
-    # High 64 bits of (mh << 32 | ml) * x via 32-bit partial products.
-    xl = x & np.uint64(_MASK32)
-    xh = x >> np.uint64(32)
-    t = ml * xl
-    mid = mh * xl + (t >> np.uint64(32))
-    mid2 = ml * xh + (mid & np.uint64(_MASK32))
-    return mh * xh + (mid >> np.uint64(32)) + (mid2 >> np.uint64(32))
+def _start_counter(counter):
+    # numpy's generator increments its counter before it produces a block,
+    # so a stream that begins at the 256-bit counter (c0, c1, c2, c3) starts
+    # one below it, the borrow carried across words and the all-zero counter
+    # wrapping to 2**256 - 1.
+    value = sum((int(c) & _MASK64) << (64 * i) for i, c in enumerate(counter))
+    start = (value - 1) % (1 << 256)
+    return tuple((start >> (64 * i)) & _MASK64 for i in range(4))
+
+
+def _raw_words(start, n_blocks, key):
+    # Words of n_blocks consecutive blocks under `key`, from a counter made
+    # by _start_counter.  Each thread keeps one generator and resets its
+    # state: building a generator per call would read OS entropy for a seed
+    # sequence that the key then overrides.
+    gen = getattr(_local, "philox", None)
+    if gen is None:
+        gen = _local.philox = np.random.Philox(key=0)
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": start, "key": (int(key[0]) & _MASK64, int(key[1]) & _MASK64)},
+        "buffer": _NO_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random_raw(4 * n_blocks)
 
 
 def philox_blocks_numpy(c0, c1, c2, c3, k0, k1):
-    """Vectorized Philox-4x64-10; arguments broadcast, keys may be arrays.
+    """Philox-4x64-10 blocks at broadcast counter words under the scalar key (k0, k1).
 
-    Returns an array of shape ``broadcast(c0, c1, c2, c3, k0, k1) + (4,)``
-    and dtype uint64.
+    Returns an array of shape ``broadcast(c0, c1, c2, c3) + (4,)`` and
+    dtype uint64.  One generator reset per block: for checks, not for bulk draws.
     """
-    args = [np.asarray(a, dtype=np.uint64) for a in (c0, c1, c2, c3)]
-    keys_are_arrays = any(np.ndim(k) > 0 for k in (k0, k1))
-    if keys_are_arrays:
-        args += [np.asarray(k, dtype=np.uint64) for k in (k0, k1)]
-        x0, x1, x2, x3, kk0, kk1 = np.broadcast_arrays(*args)
-        kk0 = kk0.copy()
-        kk1 = kk1.copy()
+    counters = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)))
+    flat = np.stack([c.reshape(-1) for c in counters], axis=-1)
+    out = np.empty(flat.shape, dtype=np.uint64)
+    for i, counter in enumerate(flat):
+        out[i] = _raw_words(_start_counter(counter), 1, (k0, k1))
+    return out.reshape(counters[0].shape + (4,))
+
+
+def words_to_uniforms(words, out=None):
+    """Map uint64 cipher words to float64 uniforms strictly inside (0, 1).
+
+    The top 2**11 words would round to exactly 1.0; they map to the largest
+    double below 1 instead.  ``out``, if given, is a float64 array of the
+    words' shape that receives the uniforms.
+    """
+    if out is None:
+        u = (words >> np.uint64(11)).astype(np.float64)
     else:
-        x0, x1, x2, x3 = np.broadcast_arrays(*args)
-    x0, x1, x2, x3 = (np.array(x, dtype=np.uint64) for x in (x0, x1, x2, x3))
-
-    m0h, m0l = np.uint64(_M0 >> 32), np.uint64(_M0 & _MASK32)
-    m1h, m1l = np.uint64(_M1 >> 32), np.uint64(_M1 & _MASK32)
-    m0 = np.uint64(_M0)
-    m1 = np.uint64(_M1)
-    for r in range(_ROUNDS):
-        if keys_are_arrays:
-            rk0, rk1 = kk0, kk1
-        else:
-            rk0 = np.uint64((int(k0) + r * _W0) & _MASK64)
-            rk1 = np.uint64((int(k1) + r * _W1) & _MASK64)
-        lo0 = m0 * x0
-        hi0 = _mulhi(m0h, m0l, x0)
-        lo1 = m1 * x2
-        hi1 = _mulhi(m1h, m1l, x2)
-        x0 = hi1 ^ x1 ^ rk0
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ rk1
-        x3 = lo0
-        if keys_are_arrays:
-            kk0 = kk0 + np.uint64(_W0)
-            kk1 = kk1 + np.uint64(_W1)
-    return np.stack([x0, x1, x2, x3], axis=-1)
+        u = out
+        u[...] = words >> np.uint64(11)
+    u += 0.5
+    u *= 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
-if _HAVE_NUMBA:
-
-    @_njit(
-        "void(uint64, uint64, uint64, uint64, uint64, uint64, uint64[:, ::1])",
-        nogil=True,
-        cache=True,
-    )
-    def _philox_fill(c0_start, c1, c2, c3, k0, k1, out):  # pragma: no cover
-        m0 = np.uint64(_M0)
-        m1 = np.uint64(_M1)
-        m0h = np.uint64(_M0 >> 32)
-        m0l = np.uint64(_M0 & _MASK32)
-        m1h = np.uint64(_M1 >> 32)
-        m1l = np.uint64(_M1 & _MASK32)
-        w0 = np.uint64(_W0)
-        w1 = np.uint64(_W1)
-        mask32 = np.uint64(_MASK32)
-        s32 = np.uint64(32)
-        n = out.shape[0]
-        for i in range(n):
-            x0 = c0_start + np.uint64(i)
-            x1 = c1
-            x2 = c2
-            x3 = c3
-            kk0 = k0
-            kk1 = k1
-            for _ in range(_ROUNDS):
-                lo0 = m0 * x0
-                xl = x0 & mask32
-                xh = x0 >> s32
-                t = m0l * xl
-                mid = m0h * xl + (t >> s32)
-                mid2 = m0l * xh + (mid & mask32)
-                hi0 = m0h * xh + (mid >> s32) + (mid2 >> s32)
-                lo1 = m1 * x2
-                xl = x2 & mask32
-                xh = x2 >> s32
-                t = m1l * xl
-                mid = m1h * xl + (t >> s32)
-                mid2 = m1l * xh + (mid & mask32)
-                hi1 = m1h * xh + (mid >> s32) + (mid2 >> s32)
-                x0 = hi1 ^ x1 ^ kk0
-                x1 = lo1
-                x2 = hi0 ^ x3 ^ kk1
-                x3 = lo0
-                kk0 = kk0 + w0
-                kk1 = kk1 + w1
-            out[i, 0] = x0
-            out[i, 1] = x1
-            out[i, 2] = x2
-            out[i, 3] = x3
-
-
-def _block_range(c0_start, n_blocks, c2, c3, k0, k1):
-    # Contiguous counter range with scalar key; numba when available.
-    if _HAVE_NUMBA:
-        out = np.empty((n_blocks, 4), dtype=np.uint64)
-        _philox_fill(
-            np.uint64(c0_start),
-            np.uint64(0),
-            np.uint64(c2),
-            np.uint64(c3),
-            np.uint64(k0),
-            np.uint64(k1),
-            out,
-        )
-        return out
-    c0 = c0_start + np.arange(n_blocks, dtype=np.uint64)
-    return philox_blocks_numpy(c0, 0, c2, c3, k0, k1)
-
-
-def words_to_uniforms(words):
-    """Map uint64 cipher words to float64 uniforms strictly inside (0, 1)."""
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _word_span(first, count, lanes):
+    # First block, block count and offset of the first wanted word, for
+    # items first .. first+count-1 of `lanes` words each.
+    if lanes not in (1, 2, 4):
+        raise ValueError("lanes must be 1, 2, or 4")
+    w_lo = first * lanes
+    b_lo = w_lo // 4
+    return b_lo, -(-(w_lo + count * lanes) // 4) - b_lo, w_lo - 4 * b_lo
 
 
 def vertex_uniforms(seed, step_index, first, count, lanes):
@@ -224,36 +163,28 @@ def vertex_uniforms(seed, step_index, first, count, lanes):
     -------
     ndarray, shape (count, lanes)
     """
-    if lanes not in (1, 2, 4):
-        raise ValueError("lanes must be 1, 2, or 4")
+    b_lo, n_blocks, skip = _word_span(first, count, lanes)
     if count == 0:
         return np.empty((0, lanes), dtype=np.float64)
-    w_lo = first * lanes
-    w_hi = (first + count) * lanes
-    b_lo = w_lo // 4
-    b_hi = -(-w_hi // 4)
-    words = _block_range(b_lo, b_hi - b_lo, step_index, PURPOSE_INCREMENT, seed, 0)
-    flat = words.reshape(-1)[w_lo - 4 * b_lo : w_hi - 4 * b_lo]
-    return words_to_uniforms(flat).reshape(count, lanes)
+    start = _start_counter((b_lo, 0, step_index, PURPOSE_INCREMENT))
+    words = _raw_words(start, n_blocks, (seed, 0))
+    return words_to_uniforms(words[skip : skip + count * lanes]).reshape(count, lanes)
 
 
 def vertex_uniforms_multi(seeds, step_index, first, count, lanes):
     """Like ``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes)."""
-    if lanes not in (1, 2, 4):
-        raise ValueError("lanes must be 1, 2, or 4")
+    b_lo, n_blocks, skip = _word_span(first, count, lanes)
     seeds = np.asarray(seeds, dtype=np.uint64)
     if count == 0:
         return np.empty((len(seeds), 0, lanes), dtype=np.float64)
-    w_lo = first * lanes
-    w_hi = (first + count) * lanes
-    b_lo = w_lo // 4
-    b_hi = -(-w_hi // 4)
-    c0 = b_lo + np.arange(b_hi - b_lo, dtype=np.uint64)
-    words = philox_blocks_numpy(
-        c0[None, :], 0, step_index, PURPOSE_INCREMENT, seeds[:, None], 0
-    )
-    flat = words.reshape(len(seeds), -1)[:, w_lo - 4 * b_lo : w_hi - 4 * b_lo]
-    return words_to_uniforms(flat).reshape(len(seeds), count, lanes)
+    # Each seed's words become uniforms while they are in cache, straight
+    # into the one output array.
+    start = _start_counter((b_lo, 0, step_index, PURPOSE_INCREMENT))
+    out = np.empty((len(seeds), count * lanes))
+    for r, seed in enumerate(seeds):
+        words = _raw_words(start, n_blocks, (seed, 0))
+        words_to_uniforms(words[skip : skip + count * lanes], out=out[r])
+    return out.reshape(len(seeds), count, lanes)
 
 
 def derive_seed(seed, *indices):
@@ -272,11 +203,7 @@ def derive_seeds(seed, count):
     """Vector of ``count`` independent child seeds of ``seed``."""
     if count == 0:
         return np.empty(0, dtype=np.uint64)
-    n_blocks = -(-count // 4)
-    words = philox_blocks_numpy(
-        np.arange(n_blocks, dtype=np.uint64), 0, 0, PURPOSE_DERIVE, seed, 0
-    )
-    return words.reshape(-1)[:count].copy()
+    return _raw_words(_start_counter((0, 0, 0, PURPOSE_DERIVE)), -(-count // 4), (seed, 0))[:count]
 
 
 def spawn_generator(seed, *indices):

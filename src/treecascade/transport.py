@@ -205,6 +205,8 @@ def holder_exponent(paths, pair_budget=64, lags=None):
         for lag_time, dists in holder_distances(path, pair_budget, lags):
             pooled.setdefault(lag_time, []).append(dists)
             n_pairs += len(dists)
+        # free the finished path before the iterator simulates the next one
+        del path
     lag_times = []
     med_log = []
     for lag_time in sorted(pooled):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri, pdtr
 from scipy.stats import poisson
 
 from .tree import Vertex, flat_index
@@ -173,11 +173,36 @@ def _lanes(spec):
     return 1 if spec.kind == "gaussian" else 2
 
 
+def _poisson_counts(u, mu):
+    """Poisson(mu) counts by inversion: the smallest k with pdtr(k, mu) >= u.
+
+    One CDF table over mu +- (8 sd + 30) serves every uniform of the call;
+    the rare uniform past either end goes to ``poisson.ppf``.  The two agree
+    except where ``ppf``, through ``pdtrik``, misses by one: within an ulp
+    above a CDF value, and far in the upper tail of a large mu.
+    """
+    half = 8.0 * math.sqrt(mu) + 30.0
+    lo = max(0, int(mu - half))
+    cdf = pdtr(np.arange(lo, int(mu + half) + 1), mu)
+    idx = np.searchsorted(cdf, u, side="left")
+    counts = (lo + idx).astype(np.float64)
+    past = (idx == len(cdf)) | ((idx == 0) & (lo > 0))
+    if past.any():
+        counts[past] = poisson.ppf(u[past], mu)
+    return counts
+
+
 def _log_increments_from_uniforms(spec, duration, u):
     if spec.kind == "gaussian":
-        return math.sqrt(duration) * ndtri(u[:, 0]) - 0.5 * duration
+        # in place over the uniforms, which the callers draw for this call
+        # alone: replica batches make them tens of MB
+        x = u[:, 0]
+        ndtri(x, out=x)
+        x *= math.sqrt(duration)
+        x -= 0.5 * duration
+        return x
     lam = spec.rate
-    n_jumps = poisson.ppf(u[:, 0], lam * duration)
+    n_jumps = _poisson_counts(u[:, 0], lam * duration)
     z = ndtri(u[:, 1])
     jump_sum = spec.jump_mean * n_jumps + spec.jump_sd * np.sqrt(n_jumps) * z
     return jump_sum - duration * lam * (_jump_mgf(spec, 1.0) - 1.0)

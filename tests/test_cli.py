@@ -251,6 +251,11 @@ class TestKpz:
             _run(["kpz", "--mode", "box", "--depth", "8", "--t", "0", "--scale-exponents", "4,10"])
         assert exc.value.code == 2
 
+    def test_box_negative_time_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            _run(["kpz", "--mode", "box", "--depth", "8", "--t", "-0.5", "--scale-exponents", "2,4"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_quick_suite_green(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from treecascade import rng
 
@@ -36,17 +39,72 @@ def test_philox_matches_numpy(c, k):
     assert tuple(int(x) for x in ref.random_raw(4)) == theirs
 
 
-def test_philox_blocks_numpy_vectorized_matches_scalar():
+@pytest.mark.parametrize("key", [0, 2**64 - 1])
+def test_philox_blocks_match_reference_at_borrows(key):
+    # numpy's generator starts one below the wanted counter; these counters
+    # make that subtraction borrow across words, or wrap around 2**256
+    for counter in [(0, 0, 1, 0), (0, 0, 7, 0), (0, 0, 0, rng.PURPOSE_DERIVE), (0, 0, 0, 0)]:
+        c0, c1, c2, c3 = counter
+        words = rng._raw_words(rng._start_counter(counter), 3, (key, 0)).reshape(3, 4)
+        for i in range(3):
+            assert tuple(int(x) for x in words[i]) == rng.philox4x64((c0 + i, c1, c2, c3), (key, 0))
+    # the public producers at those counters
+    block = rng.philox4x64((0, 0, 2, rng.PURPOSE_INCREMENT), (key, 0))
+    want = rng.words_to_uniforms(np.array(block, dtype=np.uint64)).reshape(2, 2)
+    assert np.array_equal(rng.vertex_uniforms(key, 2, 0, 2, 2), want)
+    multi = rng.vertex_uniforms_multi(np.array([key, 5], dtype=np.uint64), 2, 0, 2, 2)
+    assert np.array_equal(multi[0], want)
+    assert [int(x) for x in rng.derive_seeds(key, 4)] == list(
+        rng.philox4x64((0, 0, 0, rng.PURPOSE_DERIVE), (key, 0))
+    )
+    # general counter words and a nonzero second key word
     c0 = np.arange(5, dtype=np.uint64)
-    words = rng.philox_blocks_numpy(c0, 3, 7, 9, 11, 13)
+    blocks = rng.philox_blocks_numpy(c0, 3, 7, 9, key, 13)
     for i in range(5):
-        assert tuple(int(x) for x in words[i]) == rng.philox4x64((int(c0[i]), 3, 7, 9), (11, 13))
+        assert tuple(int(x) for x in blocks[i]) == rng.philox4x64((i, 3, 7, 9), (key, 13))
 
 
 def test_uniforms_in_open_unit_interval():
     u = rng.vertex_uniforms(0, 1, 0, 4096, 2)
     assert u.shape == (4096, 2)
     assert np.all(u > 0) and np.all(u < 1)
+
+
+def test_top_words_map_below_one():
+    u = rng.words_to_uniforms(np.array([2**64 - 1], dtype=np.uint64))
+    assert u[0] < 1.0
+    assert np.isfinite(ndtri(u)).all()
+    # no word below the top 2**11 changes value
+    words = np.array([0, 2**64 - 2**12, 2**64 - 2**11 - 1], dtype=np.uint64)
+    want = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(rng.words_to_uniforms(words), want)
+
+
+def test_words_to_uniforms_into_out():
+    words = np.array([0, 12345, 2**63, 2**64 - 1], dtype=np.uint64)
+    out = np.full(4, np.nan)
+    assert rng.words_to_uniforms(words, out=out) is out
+    assert np.array_equal(out, rng.words_to_uniforms(words))
+
+
+def test_threads_draw_the_same_as_one():
+    # each thread resets its own generator, so concurrent draws cannot mix
+    seeds = rng.derive_seeds(4, 6)
+    want = [rng.vertex_uniforms_multi(seeds, j, 3, 4000, 2) for j in range(8)]
+    got = [None] * 8
+
+    def work(j):
+        got[j] = all(
+            np.array_equal(rng.vertex_uniforms_multi(seeds, j, 3, 4000, 2), want[j])
+            for _ in range(20)
+        )
+
+    workers = [threading.Thread(target=work, args=(j,)) for j in range(8)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert all(got)
 
 
 def test_vertex_uniforms_frozen():
@@ -107,12 +165,3 @@ def test_spawn_generator_deterministic():
     a, b, c = g1.random(4), g2.random(4), g3.random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_numba_and_numpy_paths_agree():
-    if not rng._HAVE_NUMBA:
-        pytest.skip("numba path disabled in this environment")
-    n = 1 << 12
-    fast = rng._block_range(0, n, 3, rng.PURPOSE_INCREMENT, 77, 0)
-    slow = rng.philox_blocks_numpy(np.arange(n, dtype=np.uint64), 0, 3, rng.PURPOSE_INCREMENT, 77, 0)
-    assert np.array_equal(fast, slow)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +144,23 @@ class TestHolderMachinery:
         assert not fit.degenerate
         assert 0.35 <= fit.slope <= 0.65
         assert fit.r_squared > 0.9
+
+    def test_finished_path_freed_before_next(self):
+        base = tree.uniform_flow(4)
+        grid = engine.make_grid(0.1, 0.025)
+        refs = []
+        alive = []
+
+        def paths():
+            for seed in range(3):
+                alive.append(sum(r() is not None for r in refs))
+                path = engine.simulate_path(base, wp.gaussian_spec(), grid, seed=seed)
+                refs.append(weakref.ref(path))
+                yield path
+                del path
+
+        transport.holder_exponent(paths(), lags=(1, 2))
+        assert alive == [0, 0, 0]
 
     def test_degenerate_with_single_lag(self):
         # 3 snapshots give exactly one dyadic lag: not enough for a slope

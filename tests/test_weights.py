@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from treecascade import tree
 from treecascade import weights as wp
@@ -85,6 +85,30 @@ class TestMoments:
     def test_w_log_w_nonnegative(self):
         assert wp.w_log_w(wp.gaussian_spec(), 0.8) == pytest.approx(0.4)
         assert wp.w_log_w(wp.compound_poisson_spec(), 1.0) > 0.0
+
+
+class TestPoissonCounts:
+    @pytest.mark.parametrize("mu", [0.001, 0.025, 2.0, 50.0, 500.0])
+    def test_matches_ppf(self, mu):
+        u = np.random.default_rng(3).random(1 << 16)
+        u = np.concatenate([u, [2.0**-54, 1.0 - 2.0**-53]])
+        assert np.array_equal(wp._poisson_counts(u, mu), stats.poisson.ppf(u, mu))
+
+    @pytest.mark.parametrize("mu", [0.025, 2.0, 500.0])
+    def test_smallest_count_reaching_u(self, mu):
+        # at, just below and just above each CDF value
+        cdf = special.pdtr(np.arange(int(mu) + 40), mu)
+        cdf = cdf[(cdf > 2.0**-54) & (cdf < 1.0)]
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        k = wp._poisson_counts(u, mu)
+        assert np.all(special.pdtr(k, mu) >= u)
+        assert np.all((k == 0) | (special.pdtr(k - 1, mu) < u))
+
+    @pytest.mark.parametrize("mu, u", [(500.0, 1e-30), (1e6, 1.0 - 2.0**-53)])
+    def test_past_table_falls_back_to_ppf(self, mu, u):
+        # below the table's first count, and above its last CDF value
+        u = np.array([u, 0.5])
+        assert np.array_equal(wp._poisson_counts(u, mu), stats.poisson.ppf(u, mu))
 
 
 class TestIncrements:
