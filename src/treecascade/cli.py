@@ -17,6 +17,7 @@ any ``--threads`` setting.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -122,7 +123,10 @@ def _add_weight_flags(p):
     )
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building it costs more than most of what a small run does.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", default=argparse.SUPPRESS, help="JSON config file; flags override its values"
@@ -494,12 +498,15 @@ def _cmd_analyze(cfg, threads, parser):
     h_count = int(cfg["h_count"])
     if h_count < 2:
         parser.error("--h-count must be >= 2")
+    t = float(cfg["t"])
+    if t < 0:
+        parser.error("--t must be nonnegative")
     h_grid = np.linspace(float(cfg["h_min"]), float(cfg["h_max"]), h_count)
     max_depth = cfg.get("max_depth")
     report = regularity.regularity_report(
         measure,
         spec,
-        float(cfg["t"]),
+        t,
         h_grid=h_grid,
         max_depth=None if max_depth is None else int(max_depth),
     )

@@ -15,7 +15,12 @@ remaining increments; ``compose`` exposes that operation and
 reproduces its snapshots to floating-point accuracy.
 
 Weight state is accumulated in log space; masses exponentiate only when a
-snapshot is materialized.
+snapshot is materialized: leaf log-states are summed root first along each
+root path, exponentiated, and summed pairwise level by level.  A path
+computes its per-snapshot summaries (root mass, overlap, deepest-level
+share) once, in one sweep, for every reader; a vertex mass series reads
+only the vertex's root path and subtree, in the same order of operations,
+so it matches the full snapshot bit for bit.
 """
 
 import math
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import derive_seeds
-from .tree import Flow, flow_from_leaves, truncate
+from .tree import ROOT, Flow, _levels_from_leaves, flow_from_leaves, truncate
 from . import weights as wp
 
 __all__ = [
@@ -45,24 +50,47 @@ def _flat_size(depth):
     return (1 << (depth + 1)) - 2
 
 
-def _level_slices(depth):
-    return [slice((1 << k) - 2, (1 << (k + 1)) - 2) for k in range(1, depth + 1)]
+def _level_slices(depth, vertex=ROOT):
+    # Per level k = 1..depth, the flat slice of the vertices whose state
+    # reaches the leaves under ``vertex``: its depth-k ancestor for
+    # k <= |vertex|, its depth-k descendants below.
+    out = []
+    for k in range(1, depth + 1):
+        below = max(k - vertex.depth, 0)
+        lo = (1 << k) - 2 + ((vertex.bits << below) >> max(vertex.depth - k, 0))
+        out.append(slice(lo, lo + (1 << below)))
+    return out
 
 
-def _logx_leaves(cum, depth):
-    # log X(v) = sum of accumulated log-weights along the root path; leaf level.
+def _logx_leaves(cum, slices):
+    # log X(v) = sum of accumulated log-weights along the root path, added
+    # root first, at the leaves the slices of ``_level_slices`` lead to.
     logx = np.zeros(1)
-    for k, sl in enumerate(_level_slices(depth), start=1):
-        logx = np.repeat(logx, 2) + cum[sl]
+    for sl in slices:
+        if sl.stop - sl.start > len(logx):
+            logx = np.repeat(logx, 2)
+        logx = logx + cum[sl]
     return logx
 
 
 def _mass_levels(base, cum):
-    leaves = base.leaves * np.exp(_logx_leaves(cum, base.depth))
-    levels = [leaves]
-    while len(levels[-1]) > 1:
-        levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
-    return levels[::-1]
+    leaves = base.leaves * np.exp(_logx_leaves(cum, _level_slices(base.depth)))
+    return _levels_from_leaves(leaves)
+
+
+def _overlap_from_levels(levels):
+    """(overlap, deepest share) of per-level masses given root first.
+
+    The overlap is the sum over v != root of (mass(v)/mass(root))^2; the
+    deepest share is that sum's term for the deepest level alone (the
+    root's own term, 1, at depth 0).
+    """
+    root = levels[0][0]
+    shares = [float(np.sum((lvl / root) ** 2)) for lvl in levels]
+    q = 0.0
+    for share in shares[1:]:
+        q += share
+    return q, shares[-1]
 
 
 def make_grid(t_end, step):
@@ -118,6 +146,9 @@ class CascadePath:
 
     Snapshots are materialized lazily from the stored accumulated
     log-weight state; ``snapshot(0)`` returns the base flow itself.
+    Per-snapshot summaries (root mass, overlap, deepest-level share) are
+    computed by the first call that needs them, in one sweep over the
+    snapshots, and kept.
     """
 
     base: Flow
@@ -126,6 +157,7 @@ class CascadePath:
     seed: int
     snapshot_indices: np.ndarray
     _cum: tuple = field(repr=False)
+    _summaries: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def depth(self):
@@ -163,16 +195,46 @@ class CascadePath:
     def root_mass(self, i):
         return float(self.mass_levels(i)[0][0])
 
+    def snapshot_summaries(self):
+        """(root masses, overlaps, deepest-level shares) at every stored snapshot.
+
+        Read-only arrays of length ``n_snapshots``; each snapshot is
+        materialized once, by the first call, for all three.  The overlap
+        is ``observables.overlap`` of the snapshot; the deepest-level
+        share is its deepest level's term.
+        """
+        if self._summaries is None:
+            summaries = np.empty((3, self.n_snapshots))
+            for i in range(self.n_snapshots):
+                levels = self.mass_levels(i)
+                summaries[0, i] = levels[0][0]
+                summaries[1:, i] = _overlap_from_levels(levels)
+            summaries.flags.writeable = False
+            object.__setattr__(self, "_summaries", tuple(summaries))
+        return self._summaries
+
     def root_masses(self):
-        return np.array([self.root_mass(i) for i in range(self.n_snapshots)])
+        return self.snapshot_summaries()[0].copy()
 
     def vertex_mass_series(self, vertices):
-        """Masses of the given vertices at every stored snapshot; shape (T, len(vertices))."""
-        offs = [(1 << v.depth) - 1 + v.bits for v in vertices]
-        out = np.empty((self.n_snapshots, len(offs)))
-        for i in range(self.n_snapshots):
-            flat = self.masses_flat(i)
-            out[i] = flat[offs]
+        """Masses of the given vertices at every stored snapshot; shape (T, len(vertices)).
+
+        Each entry equals ``masses_flat(i)`` at the vertex's offset bit for
+        bit, but is computed from the vertex's root path and subtree alone.
+        """
+        n = self.depth
+        out = np.empty((self.n_snapshots, len(vertices)))
+        for c, v in enumerate(vertices):
+            if v.depth > n:
+                raise ValueError(f"vertex depth {v.depth} exceeds path depth {n}")
+            slices = _level_slices(n, v)
+            sub = self.base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
+            for i, cum in enumerate(self._cum):
+                if self.snapshot_indices[i] == 0:
+                    out[i, c] = self.base.mass(v)
+                else:
+                    leaves = sub * np.exp(_logx_leaves(cum, slices))
+                    out[i, c] = _levels_from_leaves(leaves)[0][0]
         return out
 
     def index_of_time(self, t):
@@ -264,7 +326,7 @@ def _compose_with_increments(current, spec, start_time, durations, seed, first_s
     for j, dt in enumerate(durations):
         cum += wp.log_increments(spec, t, float(dt), seed, first_step + j, 0, size)
         t += dt
-    leaves = current.leaves * np.exp(_logx_leaves(cum, current.depth))
+    leaves = current.leaves * np.exp(_logx_leaves(cum, _level_slices(current.depth)))
     return flow_from_leaves(leaves)
 
 

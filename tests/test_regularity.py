@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from treecascade import regularity as reg
 from treecascade import tree
@@ -62,6 +63,19 @@ class TestPressureFit:
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
             reg.pressure(reg.THETA, -0.5)
+
+    def test_log_power_sum_matches_logsumexp_bits(self):
+        g = np.random.default_rng(12)
+        cases = [g.random(n) for n in (1, 2, 3, 7, 64, 1000)]
+        cases += [np.array([0.0, 0.3, 0.0]), np.full(16, 1 / 16), tree.uniform_flow(9).level(9)]
+        tied = g.random(50)
+        tied[[3, 17, 40]] = 2.0
+        cases += [tied, g.dirichlet(np.ones(4096)), np.array([0.25, 0.25, 0.5, 0.5, 1e-300])]
+        for masses in cases:
+            positive = masses[masses > 0]
+            for h in (0.0, 0.25, 1.0, 1.7, 4.0):
+                want = float(special.logsumexp(h * np.log(positive)))
+                assert reg._log_power_sum(masses, h) == want
 
 
 class TestAlphaAndCritical:

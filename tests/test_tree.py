@@ -101,6 +101,16 @@ class TestFlowConstruction:
         assert not tree.validate_flow(f).violations
         assert f.root_mass == pytest.approx(sum(leaves), rel=1e-12)
 
+    @given(leaves=leaf_arrays())
+    def test_pairwise_levels_match_reshape_sum(self, leaves):
+        # reference: numpy's reduce over a length-2 axis
+        level = np.asarray(leaves, dtype=np.float64)
+        f = tree.flow_from_leaves(level)
+        for k in range(f.depth, 0, -1):
+            assert f.level(k).tobytes() == level.tobytes()
+            level = level.reshape(-1, 2).sum(axis=1)
+        assert f.level(0).tobytes() == level.tobytes()
+
 
 class TestFlowOps:
     def test_validate_flags_broken_conservation(self):

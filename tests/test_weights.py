@@ -173,3 +173,9 @@ class TestIncrements:
             wp.VertexNoiseKey(1, tree.Vertex(1, 0), 0)
         with pytest.raises(ValueError):
             wp.log_increments(wp.gaussian_spec(), 0.0, -0.1, 1, 1, 0, 4)
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_multi_rejects_negative_duration(self, spec):
+        seeds = np.array([1], dtype=np.uint64)
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            wp.log_increments_multi(spec, 0.0, -0.1, seeds, 1, 0, 2)
