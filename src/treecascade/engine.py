@@ -16,7 +16,10 @@ reproduces its snapshots to floating-point accuracy.
 
 Weight state is accumulated in log space; masses exponentiate only when a
 snapshot is materialized: leaf log-states are summed root first along each
-root path, exponentiated, and summed pairwise level by level.  A path
+root path, exponentiated, and summed pairwise level by level.  This module
+holds the one implementation of that root-path product; it works on the
+last axis, so ``verify`` and ``observables`` hand it whole (R, size)
+replica batches, and ``tree`` holds the one level reduction.  A path
 computes its per-snapshot summaries (root mass, overlap, deepest-level
 share) once, in one sweep, for every reader; a vertex mass series reads
 only the vertex's root path and subtree, in the same order of operations,
@@ -62,20 +65,37 @@ def _level_slices(depth, vertex=ROOT):
     return out
 
 
-def _logx_leaves(cum, slices):
-    # log X(v) = sum of accumulated log-weights along the root path, added
-    # root first, at the leaves the slices of ``_level_slices`` lead to.
-    logx = np.zeros(1)
+def _logx_levels(cum, slices):
+    """log X at levels 0..depth of the vertices the slices select.
+
+    log X(v) is the sum of the accumulated log-weights along v's root path,
+    added root first; the root's is 0.  Works on the last axis, so a
+    ``(size,)`` state and an ``(R, size)`` replica batch run the same code.
+    A yielded array may be overwritten by the next level; use it first.
+    """
+    logx = np.zeros(cum.shape[:-1] + (1,))
+    yield logx
     for sl in slices:
-        if sl.stop - sl.start > len(logx):
-            logx = np.repeat(logx, 2)
-        logx = logx + cum[sl]
+        if sl.stop - sl.start > logx.shape[-1]:
+            logx = np.repeat(logx, 2, axis=-1)
+        logx += cum[..., sl]
+        yield logx
+
+
+def _leaf_masses(leaves, cum, slices):
+    """exp(log X) times the leaf masses at the leaves the slices lead to.
+
+    Works in place on the deepest log X, so each level allocates one array.
+    """
+    for logx in _logx_levels(cum, slices):
+        pass
+    np.exp(logx, out=logx)
+    logx *= leaves
     return logx
 
 
 def _mass_levels(base, cum):
-    leaves = base.leaves * np.exp(_logx_leaves(cum, _level_slices(base.depth)))
-    return _levels_from_leaves(leaves)
+    return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
 def _overlap_from_levels(levels):
@@ -233,8 +253,7 @@ class CascadePath:
                 if self.snapshot_indices[i] == 0:
                     out[i, c] = self.base.mass(v)
                 else:
-                    leaves = sub * np.exp(_logx_leaves(cum, slices))
-                    out[i, c] = _levels_from_leaves(leaves)[0][0]
+                    out[i, c] = _levels_from_leaves(_leaf_masses(sub, cum, slices))[0][0]
         return out
 
     def index_of_time(self, t):
@@ -326,8 +345,7 @@ def _compose_with_increments(current, spec, start_time, durations, seed, first_s
     for j, dt in enumerate(durations):
         cum += wp.log_increments(spec, t, float(dt), seed, first_step + j, 0, size)
         t += dt
-    leaves = current.leaves * np.exp(_logx_leaves(cum, _level_slices(current.depth)))
-    return flow_from_leaves(leaves)
+    return flow_from_leaves(_leaf_masses(current.leaves, cum, _level_slices(current.depth)))
 
 
 def compose(current, spec, t, s, seed, steps=1, first_step=1):
@@ -425,11 +443,10 @@ def convergence_probe(base, spec, t, depths, h, replicas, seed):
     slices = _level_slices(n_max)
     for r, sr in enumerate(seeds):
         cum = wp.log_increments(spec, 0.0, t, sr, 1, 0, size) if t > 0 else np.zeros(size)
-        logx = np.zeros(1)
-        roots = {}
-        for k, sl in enumerate(slices, start=1):
-            logx = np.repeat(logx, 2) + cum[sl]
-            roots[k] = float(np.dot(base.level(k), np.exp(logx)))
+        roots = [
+            float(np.dot(level, np.exp(logx)))
+            for level, logx in zip(base.levels, _logx_levels(cum, slices))
+        ]
         for c, n in enumerate(depths):
             diffs[r, c] = abs(roots[n + 1] - roots[n]) ** h
     means = diffs.mean(axis=0)

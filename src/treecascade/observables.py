@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _overlap_from_levels
+from .engine import _flat_size, _leaf_masses, _level_slices, _overlap_from_levels
 from .rng import derive_seeds
-from .tree import FLOW_REL_TOL, common_ancestor_depth, flat_index
+from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
 
 __all__ = [
@@ -183,38 +183,22 @@ def girsanov_check(base, spec, t_end, vertex, replicas, seed, step=0.01):
     if t_end == 0.0:
         return GirsanovReport(0.0, 0.0, 0.0, 0.0, replicas)
 
-    n = base.depth
-    size = (1 << (n + 1)) - 2
+    size = _flat_size(base.depth)
     m_steps = int(round(t_end / step))
     if abs(m_steps * step - t_end) > 1e-9 or m_steps < 1:
         raise ValueError("t_end must be a positive multiple of step")
     seeds = derive_seeds(seed, replicas)
-    slices = [slice((1 << k) - 2, (1 << (k + 1)) - 2) for k in range(1, n + 1)]
+    slices = _level_slices(base.depth)
 
     cum = np.zeros((replicas, size))
     integral = np.zeros(replicas)
     dt = t_end / m_steps
     for j in range(1, m_steps + 1):
-        logx = np.zeros((replicas, 1))
-        v_mass = None
-        for k, sl in enumerate(slices, start=1):
-            logx = np.repeat(logx, 2, axis=1) + cum[:, sl]
-            if k == n:
-                leaves = base.leaves[None, :] * np.exp(logx)
-                level = leaves
-                while level.shape[1] > 1 << vertex.depth:
-                    level = level.reshape(replicas, -1, 2).sum(axis=2)
-                v_mass = level[:, vertex.bits]
-                while level.shape[1] > 1:
-                    level = level.reshape(replicas, -1, 2).sum(axis=2)
-                root = level[:, 0]
-        integral += (v_mass / root) * dt
+        levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
+        integral += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
         cum += wp.log_increments_multi(spec, (j - 1) * dt, dt, seeds, j, 0, size)
 
-    logx = np.zeros((replicas, 1))
-    for sl in slices:
-        logx = np.repeat(logx, 2, axis=1) + cum[:, sl]
-    m_weight = (base.leaves[None, :] * np.exp(logx)).sum(axis=1)
+    m_weight = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
     b_vertex = cum[:, flat_index(vertex)] + 0.5 * t_end
 
     y = m_weight * (b_vertex - integral)

@@ -29,7 +29,6 @@ __all__ = [
     "wasserstein_lp_oracle",
     "coupling_upper_bound",
     "holder_lags",
-    "holder_snapshot_indices",
     "holder_distances",
     "holder_exponent",
 ]
@@ -143,19 +142,6 @@ def _lag_starts(n_times, lag, pair_budget):
     n_pairs = n_times - lag
     k = min(pair_budget, n_pairs)
     return np.unique(np.linspace(0, n_pairs - 1, k).round().astype(np.int64))
-
-
-def holder_snapshot_indices(n_times, pair_budget, lags=None):
-    """Grid indices a distance pass will touch; pass to simulate_path to
-    bound stored state."""
-    if lags is None:
-        lags = holder_lags(n_times)
-    idx = set()
-    for lag in lags:
-        for i in _lag_starts(n_times, lag, pair_budget):
-            idx.add(int(i))
-            idx.add(int(i + lag))
-    return sorted(idx)
 
 
 def holder_distances(path, pair_budget=64, lags=None):

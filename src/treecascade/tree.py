@@ -200,15 +200,15 @@ class Flow:
 
 
 def _pair_sums(a):
-    # Same bits as a.reshape(-1, 2).sum(axis=1), since a two-element reduce
+    # Same bits as numpy's sum over each pair, since a two-element reduce
     # is one add, but over ten times faster than that strided reduce.
-    return a[0::2] + a[1::2]
+    return a[..., 0::2] + a[..., 1::2]
 
 
 def _levels_from_leaves(leaves):
-    """Per-level pairwise sums of the leaves, root level first."""
+    """Per-level pairwise sums of the leaves over the last axis, root level first."""
     levels = [leaves]
-    while len(levels[-1]) > 1:
+    while levels[-1].shape[-1] > 1:
         levels.append(_pair_sums(levels[-1]))
     return levels[::-1]
 

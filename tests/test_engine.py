@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from treecascade import engine, observables, tree
 from treecascade import weights as wp
+from treecascade.rng import derive_seeds
 
 
 class TestGrid:
@@ -161,6 +162,27 @@ class TestSimulatePath:
             assert series[i].tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             path.vertex_mass_series([tree.Vertex(base.depth + 1, 0)])
+
+    @pytest.mark.parametrize("case", ["depth0", "depth1", "zero_leaves", "subtree"])
+    def test_leaf_masses_batch_rows_match_single(self, case):
+        # an (R, size) replica batch runs the same code as one (size,) state
+        leaves = np.random.default_rng(6).random(1 << 5)
+        leaves[[0, 7, 8, 31]] = 0.0
+        base, v = {
+            "depth0": (tree.uniform_flow(0), tree.ROOT),
+            "depth1": (tree.uniform_flow(1), tree.ROOT),
+            "zero_leaves": (tree.flow_from_leaves(leaves), tree.ROOT),
+            "subtree": (tree.flow_from_leaves(leaves), tree.Vertex(2, 1)),
+        }[case]
+        n = base.depth
+        size = engine._flat_size(n)
+        cum = wp.log_increments_multi(wp.gaussian_spec(), 0.0, 0.4, derive_seeds(8, 5), 1, 0, size)
+        slices = engine._level_slices(n, v)
+        sub = base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
+        batch = engine._leaf_masses(sub, cum, slices)
+        assert batch.shape == (5, len(sub))
+        for r in range(5):
+            assert batch[r].tobytes() == engine._leaf_masses(sub, cum[r], slices).tobytes()
 
     def test_root_masses_returns_fresh_array(self):
         path = engine.simulate_path(

@@ -157,6 +157,17 @@ class TestGirsanov:
                 tree.flow_from_leaves([1.0, 2.0] * 4), spec, 0.2, tree.Vertex(1, 0), 10, 0
             )
 
+    def test_frozen_report(self):
+        # pins the replica-batched leaf products and level sums bit for bit;
+        # at 16 leaves numpy's pairwise sum and the tree's differ in order
+        report = obs.girsanov_check(
+            tree.uniform_flow(4), wp.gaussian_spec(), 0.2, tree.Vertex(2, 1), 16, 5, step=0.05
+        )
+        assert report.tilted_mean == 0.010282594761122432
+        assert report.predicted_mean == 0.04877894012599587
+        assert report.statistic == -0.3491142238899209
+        assert report.se == 0.08692643225141926
+
     def test_zero_time_report(self):
         base = tree.uniform_flow(2)
         report = obs.girsanov_check(base, wp.gaussian_spec(), 0.0, tree.Vertex(1, 0), 10, 0)

@@ -114,12 +114,6 @@ class TestHolderMachinery:
             assert all(0 <= s and s + lag < n for s in starts)
             assert len(starts) <= budget
 
-    def test_snapshot_indices_cover_needed_pairs(self):
-        idx = transport.holder_snapshot_indices(129, pair_budget=8)
-        assert idx[0] == 0
-        assert all(0 <= i < 129 for i in idx)
-        assert list(idx) == sorted(set(idx))
-
     def test_distances_shape_and_positivity(self):
         base = tree.uniform_flow(6)
         grid = engine.make_grid(0.25, 2.0**-6)

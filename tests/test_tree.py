@@ -110,6 +110,15 @@ class TestFlowConstruction:
             assert f.level(k).tobytes() == level.tobytes()
             level = level.reshape(-1, 2).sum(axis=1)
         assert f.level(0).tobytes() == level.tobytes()
+        # an (R, 2^n) replica batch reduces along its last axis
+        batch = np.asarray(leaves, dtype=np.float64)
+        batch = np.stack([batch, batch[::-1], 3.0 * batch])
+        levels = tree._levels_from_leaves(batch)
+        assert len(levels) == f.depth + 1
+        for k in range(f.depth, 0, -1):
+            assert levels[k].tobytes() == batch.tobytes()
+            batch = batch.reshape(3, -1, 2).sum(axis=2)
+        assert levels[0].tobytes() == batch.tobytes()
 
 
 class TestFlowOps:

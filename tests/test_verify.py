@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from treecascade import verify
+from treecascade import tree, verify
+from treecascade import weights as wp
+from treecascade.rng import derive_seeds
 
 
 def _report(name, verdict, expected=verify.PASS):
@@ -39,6 +41,14 @@ class TestVerdicts:
         rep = verify.test_martingale(depth=8, replicas=400, seed=5, uncompensated=True)
         assert rep.verdict == verify.FAIL
         assert rep.statistic > rep.threshold
+
+    @pytest.mark.parametrize("mass", [1.0, 0.1])
+    def test_martingale_depth0_is_exact(self, mass):
+        # every replica keeps the initial mass: no spread and no deviation
+        base = tree.flow_from_leaves([mass])
+        rep = verify.test_martingale(base=base, replicas=300, seed=3)
+        assert rep.statistic == 0.0
+        assert rep.verdict == verify.PASS
 
     def test_composition_exact(self):
         rep = verify.test_composition(depth=6, t_end=0.3)
@@ -126,3 +136,34 @@ class TestSerialization:
         rep = _report("a", verify.PASS)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.verdict = verify.FAIL
+
+
+class TestRootSamples:
+    # frozen replica-batched root masses: leaf products and their sums
+    ROOTS = {
+        "gaussian": [
+            [1.5608757630813783, 3.3587822906238296],
+            [1.2343956231859954, 0.8542278805042565],
+            [0.6122990696404671, 0.43741491741266214],
+            [0.7163347544045168, 0.3876476612042866],
+            [0.9413244953205449, 0.5590354215458289],
+            [0.6884540318483476, 0.6983479419512095],
+            [1.5102059813801751, 0.9161968880250119],
+            [0.7510520725872631, 0.5414138649623879],
+        ],
+        "compound_poisson": [
+            [1.1495008829213549, 1.5176904506333406],
+            [0.9932483423617966, 1.0073617386174498],
+            [0.9799914273282724, 1.1112945190044181],
+            [0.965437844670993, 0.8374636969405171],
+            [0.9990561625474279, 1.0072052671498353],
+            [0.9281664530555158, 1.1277710807814523],
+            [1.0415804996651097, 1.0224510478427375],
+            [0.8744621334288404, 0.8350090849333536],
+        ],
+    }
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_frozen_anchor(self, spec):
+        roots = verify._root_samples(tree.uniform_flow(6), spec, (0.1, 0.3), derive_seeds(2024, 8))
+        assert roots.tolist() == self.ROOTS[spec.kind]
