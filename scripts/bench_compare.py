@@ -1,0 +1,94 @@
+"""Run the benchmark on two source checkouts in alternating pairs.
+
+Each pair runs ``perfbench/run.py`` once in each checkout on the same
+seed, the parent first on even pairs and the change first on odd ones,
+one run at a time.  The JSON written holds the machine, the Python,
+numpy and scipy versions, both commits and, per workload and end-to-end
+metric, the median and quartiles of each side and the number of pairs
+the change won.
+
+    python3 scripts/bench_compare.py --parent ../parent --change . \\
+        --parent-commit abc1234 --change-commit def5678 \\
+        --workload gauss_paths --seeds 701 702 703 -o BENCH.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+
+def run_once(checkout, workload, seed, seconds):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summary(values):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3), "runs": values}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="source checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="source checkout of the change")
+    ap.add_argument("--parent-commit", required=True)
+    ap.add_argument("--change-commit", required=True)
+    ap.add_argument("--workload", action="append", required=True, help="repeatable")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
+    ap.add_argument("--seconds", type=float, default=20.0, help="run length of each run")
+    ap.add_argument("-o", "--output", required=True, help="JSON path")
+    args = ap.parse_args(argv)
+
+    with open(Path(args.change) / "BENCHMARK.json") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    doc = {
+        "machine": {"platform": platform.platform(), "processor": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "parent": args.parent_commit,
+        "change": args.change_commit,
+        "seconds": args.seconds,
+        "workloads": {},
+    }
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for k, seed in enumerate(args.seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(getattr(args, side), workload, seed, args.seconds)
+                runs[side].append(result)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{result['metrics']['wall_s']['value']:.3f} s", file=sys.stderr)
+        metrics = {}
+        for name, direction in better.items():
+            sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+            sign = 1.0 if direction == "lower" else -1.0
+            won = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+            metrics[name] = {"better": direction, "parent": summary(sides["parent"]),
+                             "change": summary(sides["change"]), "pairs_won": int(won),
+                             "pairs": len(args.seeds)}
+        doc["workloads"][workload] = {
+            "seeds": args.seeds,
+            "all_correct": all(r["correct"] for side in runs.values() for r in side),
+            "failed_ops": sum(r["failed"] for side in runs.values() for r in side),
+            "metrics": metrics,
+        }
+        with open(args.output, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -106,7 +106,14 @@ def _overlap_from_levels(levels):
     root's own term, 1, at depth 0).
     """
     root = levels[0][0]
-    shares = [float(np.sum((lvl / root) ** 2)) for lvl in levels]
+    buf = np.empty(len(levels[-1]))
+    shares = []
+    for lvl in levels:
+        # one buffer, a prefix per level size; x * x is numpy's x ** 2, and
+        # np.add.reduce is np.sum's pairwise sum without its Python wrapper
+        share = np.divide(lvl, root, buf[: len(lvl)])
+        np.multiply(share, share, share)
+        shares.append(float(np.add.reduce(share)))
     q = 0.0
     for share in shares[1:]:
         q += share

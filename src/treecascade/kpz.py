@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .tree import leaf_cdf
 from . import weights as wp
@@ -55,6 +54,8 @@ def phi_inverse(spec, t, y, tol=1e-12):
         raise ValueError("y must lie in [0, 1]")
     if y == 0.0 or y == 1.0:
         return y
+    from scipy.optimize import brentq  # a slow import, made only where it is used
+
     return float(brentq(lambda h: phi(spec, t, h) - y, 0.0, 1.0, xtol=tol))
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .tree import truncate
 from . import weights as wp
@@ -190,6 +189,8 @@ def critical_h(measure, spec, t, h_max=64.0, tol=1e-12, max_depth=None):
         lo, hi = hi, hi * 2.0
         if hi > h_max:
             return math.inf
+    from scipy.optimize import brentq  # a slow import, made only where it is used
+
     return float(brentq(g, lo, hi, xtol=tol))
 
 

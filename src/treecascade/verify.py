@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .rng import derive_seed, derive_seeds
 from .tree import uniform_flow
@@ -128,6 +127,8 @@ def test_markov_marginal(
         leaves_t = engine._leaf_masses(base.leaves, cum, slices)
         cum = wp.log_increments_multi(spec, t, s_used, fresh_seeds[lo : lo + chunk], 1, 0, size)
         composed[lo : lo + len(cum)] = engine._leaf_masses(leaves_t, cum, slices).sum(axis=1)
+
+    from scipy.stats import ks_2samp  # a slow import, made only where it is used
 
     p_value = float(ks_2samp(direct, composed).pvalue)
     name = "markov_marginal_control" if control else "markov_marginal"

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri, pdtr
-from scipy.stats import poisson
 
 from .tree import Vertex, flat_index
 from . import rng
@@ -188,6 +187,8 @@ def _poisson_counts(u, mu):
     counts = (lo + idx).astype(np.float64)
     past = (idx == len(cdf)) | ((idx == 0) & (lo > 0))
     if past.any():
+        from scipy.stats import poisson  # a slow import, made only where it is used
+
         counts[past] = poisson.ppf(u[past], mu)
     return counts
 

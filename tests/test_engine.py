@@ -195,6 +195,22 @@ class TestSimulatePath:
         assert second is not first
         assert np.array_equal(second, want)
 
+    @pytest.mark.parametrize("depth", [0, 1, 9])
+    def test_overlap_bits_match_squared_ratios(self, depth):
+        # reference: a new (level / root) ** 2 array per level, summed by numpy
+        leaves = np.random.default_rng(depth).random(1 << depth)
+        leaves[::3] = 0.0
+        leaves[-1] = 0.5
+        path = engine.simulate_path(
+            tree.flow_from_leaves(leaves), wp.gaussian_spec(), engine.make_grid(0.2, 0.1), seed=4
+        )
+        for i in range(path.n_snapshots):
+            levels = path.mass_levels(i)
+            shares = [float(np.sum((lvl / levels[0][0]) ** 2)) for lvl in levels]
+            want = (sum(shares[1:], 0.0), shares[-1])
+            assert engine._overlap_from_levels(levels) == want
+            assert (path.snapshot_summaries()[1][i], path.snapshot_summaries()[2][i]) == want
+
     def test_summaries_materialize_each_snapshot_once(self, monkeypatch):
         calls = []
         mass_levels = engine._mass_levels

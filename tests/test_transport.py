@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,3 +180,137 @@ class TestHolderMachinery:
         path = engine.simulate_path(base, wp.gaussian_spec(), grid, seed=8)
         fit = transport.holder_exponent(path, pair_budget=8)
         assert not fit.degenerate
+
+
+def _gauss_path(depth, t_end, step, snapshot_times=None):
+    grid = engine.make_grid(t_end, step)
+    return engine.simulate_path(
+        tree.uniform_flow(depth), wp.gaussian_spec(), grid, seed=3, snapshot_times=snapshot_times
+    )
+
+
+def _pairs(path, lags, pair_budget=64):
+    lags = transport.holder_lags(path.n_snapshots) if lags is None else lags
+    return [
+        [(int(i), int(i) + lag) for i in transport._lag_starts(path.n_snapshots, lag, pair_budget)]
+        for lag in lags
+    ]
+
+
+def _zero_leaf_cp_path():
+    leaves = np.random.default_rng(9).random(1 << 5)
+    leaves[::3] = 0.0
+    spec = wp.compound_poisson_spec(rate=30.0, jump_mean=-0.1, jump_sd=0.4)
+    grid = engine.make_grid(0.2, 0.01)
+    return engine.simulate_path(tree.flow_from_leaves(leaves), spec, grid, seed=2)
+
+
+SWEEP_CASES = {
+    "depth0": lambda: _gauss_path(0, 0.1, 0.01),
+    "depth1": lambda: _gauss_path(1, 0.1, 0.01),
+    "zero_leaves_cp": _zero_leaf_cp_path,
+    "subset_with_time0": lambda: _gauss_path(6, 0.4, 0.01, np.arange(0, 41, 4) / 100),
+    "subset_without_time0": lambda: _gauss_path(6, 0.4, 0.01, np.arange(10, 41, 2) / 100),
+}
+
+
+class TestHolderSweep:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_distances_match_exact_transport(self, case):
+        path = SWEEP_CASES[case]()
+        rows = transport.holder_distances(path, pair_budget=16)
+        pairs = _pairs(path, None, 16)
+        assert len(rows) == len(pairs)
+        dt = path.times[1] - path.times[0]
+        for (lag_time, dists), lag_pairs in zip(rows, pairs):
+            lag = lag_pairs[0][1] - lag_pairs[0][0]
+            assert lag_time == lag * dt
+            want = [
+                transport.wasserstein_exact(
+                    tree.normalize(path.snapshot(i)), tree.normalize(path.snapshot(j))
+                ).value
+                for i, j in lag_pairs
+            ]
+            assert np.allclose(dists, want, rtol=1e-13, atol=0.0)
+            if path.depth == 0:
+                assert np.all(dists == 0.0)
+
+    def test_each_paired_snapshot_materialized_once(self, monkeypatch):
+        path = _gauss_path(5, 0.4, 0.005)
+        lags = (1, 3, 16, 64)
+        calls = []
+        mass_levels = engine.CascadePath.mass_levels
+
+        def counted(self, i):
+            calls.append(i)
+            return mass_levels(self, i)
+
+        monkeypatch.setattr(engine.CascadePath, "mass_levels", counted)
+        transport.holder_distances(path, pair_budget=10, lags=lags)
+        needed = {s for lag_pairs in _pairs(path, lags, 10) for pair in lag_pairs for s in pair}
+        assert needed != set(range(path.n_snapshots))
+        assert calls == sorted(needed)
+
+    def test_held_snapshots_bounded_by_spanning_pairs(self, monkeypatch):
+        # no time 0: the base snapshot's leaves live as long as the path does
+        path = _gauss_path(4, 0.5, 0.005, np.arange(1, 101) / 200)
+        lags = (1, 2, 8, 32)
+        pairs = [pair for lag_pairs in _pairs(path, lags, 12) for pair in lag_pairs]
+        last = {}
+        for i, j in pairs:
+            last[i] = max(last.get(i, i), j)
+            last.setdefault(j, j)
+        refs = {}
+        checked = []
+        mass_levels = engine.CascadePath.mass_levels
+
+        def watched(self, s):
+            alive = {i for i, ref in refs.items() if ref() is not None}
+            assert alive == {i for i in refs if last[i] >= s}
+            spanning = sum(i < s <= j for i, j in pairs)
+            assert len(alive) <= spanning
+            levels = mass_levels(self, s)
+            refs[s] = weakref.ref(levels[-1])
+            checked.append(len(alive))
+            return levels
+
+        monkeypatch.setattr(engine.CascadePath, "mass_levels", watched)
+        transport.holder_distances(path, pair_budget=12, lags=lags)
+        assert len(checked) == len(last)
+        assert max(checked) > 1
+        assert all(ref() is None for ref in refs.values())
+
+    def test_distances_independent_of_blas_threads(self):
+        # depth 13: 16 382 masses per snapshot, long enough for a threaded BLAS dot
+        script = (
+            "import hashlib, numpy as np\n"
+            "from treecascade import engine, transport, tree, weights\n"
+            "path = engine.simulate_path(tree.uniform_flow(13), weights.gaussian_spec(),\n"
+            "                            engine.make_grid(0.006, 1e-3), seed=7)\n"
+            "rows = transport.holder_distances(path, lags=(1, 2, 4))\n"
+            "print(hashlib.sha256(np.concatenate([d for _, d in rows]).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(transport.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("lag", [20, 11, 0, -1, 1.5])
+    def test_lag_out_of_range_rejected(self, lag):
+        path = _gauss_path(3, 0.1, 0.01)
+        assert path.n_snapshots == 11
+        with pytest.raises(ValueError, match=f"lag {lag} "):
+            transport.holder_distances(path, lags=(1, lag))
+
+    def test_longest_lag_accepted(self):
+        path = _gauss_path(3, 0.1, 0.01)
+        [(lag_time, dists)] = transport.holder_distances(path, lags=(10,))
+        assert lag_time == pytest.approx(0.1)
+        assert len(dists) == 1
