@@ -29,7 +29,7 @@ from . import engine, kpz, observables, regularity, transport, verify
 from . import weights as wp
 from .parallel import parallel_map, thread_count
 from .rng import derive_seeds
-from .tree import Vertex, load_flow, normalize, save_flow, truncate, uniform_flow
+from .tree import ROOT, Vertex, load_flow, normalize, save_flow, truncate, uniform_flow
 
 __all__ = ["run", "main"]
 
@@ -458,10 +458,10 @@ def _cmd_simulate(cfg, threads, parser):
 
     def one(r):
         path = engine.simulate_path(base, spec, grid, seed=int(seeds[r]))
-        roots = path.root_masses()
-        vmass = path.vertex_mass_series(vertices) if vertices else None
+        # the root is one more vertex: its series is the root masses, bit for bit
+        series = path.vertex_mass_series([ROOT, *vertices])
         final = path.snapshot(path.n_snapshots - 1) if save else None
-        return roots, vmass, final
+        return series[:, 0], series[:, 1:], final
 
     results = parallel_map(one, range(replicas), threads=threads)
 

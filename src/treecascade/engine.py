@@ -19,20 +19,33 @@ snapshot is materialized: leaf log-states are summed root first along each
 root path, exponentiated, and summed pairwise level by level.  This module
 holds the one implementation of that root-path product; it works on the
 last axis, so ``verify`` and ``observables`` hand it whole (R, size)
-replica batches, and ``tree`` holds the one level reduction.  A path
-computes its per-snapshot summaries (root mass, overlap, deepest-level
-share) once, in one sweep, for every reader; a vertex mass series reads
-only the vertex's root path and subtree, in the same order of operations,
-so it matches the full snapshot bit for bit.
+replica batches, and ``tree`` holds the one level reduction.  A
+materialized snapshot is one level-major buffer of 2^(n+1) - 1 masses
+(``CascadePath.masses_flat``); its levels are views of that buffer.  A
+path computes its per-snapshot summaries (root mass, overlap,
+deepest-level share) once, in one sweep, for every reader.  A vertex mass
+series reads only the vertex's root path and subtree, in the same order
+of operations, so it matches the full snapshot bit for bit; it gathers
+those states for a block of snapshots at a time and runs one batched
+root-path product and level reduction per block.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rng import derive_seeds
-from .tree import ROOT, Flow, _levels_from_leaves, flow_from_leaves, truncate
+from .tree import (
+    ROOT,
+    Flow,
+    _level_views,
+    _levels_from_leaves,
+    flow_from_leaves,
+    flow_from_levels,
+    truncate,
+)
 from . import weights as wp
 
 __all__ = [
@@ -48,21 +61,35 @@ __all__ = [
 ]
 
 
+# Largest block of gathered state, in elements, that one batched step of
+# ``CascadePath.vertex_mass_series`` reduces (512 KiB of float64).
+_SERIES_BLOCK = 1 << 16
+
+
+# Largest level, in elements, that ``_logx_levels`` widens with two strided
+# adds, which beat np.repeat plus an add while the arrays stay in cache.
+# Wider levels, as in (R, size) replica batches, are bound by memory
+# traffic, which the strided writes double: 25 % slower at (256, 2^12).
+_STRIDED_WIDEN_MAX = 1 << 16
+
+
 def _flat_size(depth):
     # Vertices at levels 1..depth in level-major order.
     return (1 << (depth + 1)) - 2
 
 
+@functools.lru_cache(maxsize=256)
 def _level_slices(depth, vertex=ROOT):
     # Per level k = 1..depth, the flat slice of the vertices whose state
     # reaches the leaves under ``vertex``: its depth-k ancestor for
-    # k <= |vertex|, its depth-k descendants below.
+    # k <= |vertex|, its depth-k descendants below.  A tuple, since the
+    # cache hands the same result to every caller.
     out = []
     for k in range(1, depth + 1):
         below = max(k - vertex.depth, 0)
         lo = (1 << k) - 2 + ((vertex.bits << below) >> max(vertex.depth - k, 0))
         out.append(slice(lo, lo + (1 << below)))
-    return out
+    return tuple(out)
 
 
 def _logx_levels(cum, slices):
@@ -76,9 +103,19 @@ def _logx_levels(cum, slices):
     logx = np.zeros(cum.shape[:-1] + (1,))
     yield logx
     for sl in slices:
-        if sl.stop - sl.start > logx.shape[-1]:
+        step = cum[..., sl]
+        if step.shape[-1] == logx.shape[-1]:
+            logx += step
+        elif step.size <= _STRIDED_WIDEN_MAX:
+            # each parent's log X plus its two children's state, into a
+            # new array twice as wide
+            wide = np.empty(step.shape)
+            np.add(logx, step[..., 0::2], out=wide[..., 0::2])
+            np.add(logx, step[..., 1::2], out=wide[..., 1::2])
+            logx = wide
+        else:
             logx = np.repeat(logx, 2, axis=-1)
-        logx += cum[..., sl]
+            logx += step
         yield logx
 
 
@@ -98,22 +135,27 @@ def _mass_levels(base, cum):
     return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
-def _overlap_from_levels(levels):
-    """(overlap, deepest share) of per-level masses given root first.
+def _gather_rows(states, index):
+    """The entries ``index`` of each state, one row per state."""
+    block = np.empty((len(states), len(index)))
+    for row, state in zip(block, states):
+        # every index is in range, so "clip" only skips the check
+        state.take(index, out=row, mode="clip")
+    return block
+
+
+def _overlap_from_flat(flat):
+    """(overlap, deepest share) of the masses in a level-major buffer.
 
     The overlap is the sum over v != root of (mass(v)/mass(root))^2; the
     deepest share is that sum's term for the deepest level alone (the
     root's own term, 1, at depth 0).
     """
-    root = levels[0][0]
-    buf = np.empty(len(levels[-1]))
-    shares = []
-    for lvl in levels:
-        # one buffer, a prefix per level size; x * x is numpy's x ** 2, and
-        # np.add.reduce is np.sum's pairwise sum without its Python wrapper
-        share = np.divide(lvl, root, buf[: len(lvl)])
-        np.multiply(share, share, share)
-        shares.append(float(np.add.reduce(share)))
+    # x * x is numpy's x ** 2, and np.add.reduce over each level is np.sum's
+    # pairwise sum of that level without its Python wrapper
+    squares = np.divide(flat, flat[0])
+    np.multiply(squares, squares, out=squares)
+    shares = [float(np.add.reduce(lvl)) for lvl in _level_views(squares)]
     q = 0.0
     for share in shares[1:]:
         q += share
@@ -203,21 +245,31 @@ class CascadePath:
         return self._cum[i].copy()
 
     def mass_levels(self, i):
-        """Per-level masses at stored snapshot i (list of arrays, root first)."""
+        """Per-level masses at stored snapshot i, root first.
+
+        The levels are views of one new level-major buffer, the array
+        ``masses_flat`` returns; at grid index 0 it holds the base flow's
+        own levels.
+        """
         if self.snapshot_indices[i] == 0:
-            return [np.asarray(a) for a in self.base.levels]
+            return _level_views(np.concatenate(self.base.levels))
         return _mass_levels(self.base, self._cum[i])
 
     def masses_flat(self, i):
-        """All masses at snapshot i, level-major; vertex v sits at 2^|v| - 1 + bits."""
-        return np.concatenate(self.mass_levels(i))
+        """All masses at snapshot i, level-major; vertex v sits at 2^|v| - 1 + bits.
+
+        A new buffer per call, the one that the levels ``mass_levels``
+        returns are views of: no concatenation.
+        """
+        return self.mass_levels(i)[0].base
 
     def snapshot(self, i):
         """The flow at stored snapshot i; index 0 is the base flow, exactly."""
         if self.snapshot_indices[i] == 0:
             return self.base
         levels = self.mass_levels(i)
-        return flow_from_leaves(levels[-1])
+        levels[0].base.flags.writeable = False  # the buffer the levels share
+        return flow_from_levels(levels)
 
     def root_mass(self, i):
         return float(self.mass_levels(i)[0][0])
@@ -233,9 +285,9 @@ class CascadePath:
         if self._summaries is None:
             summaries = np.empty((3, self.n_snapshots))
             for i in range(self.n_snapshots):
-                levels = self.mass_levels(i)
-                summaries[0, i] = levels[0][0]
-                summaries[1:, i] = _overlap_from_levels(levels)
+                flat = self.masses_flat(i)
+                summaries[0, i] = flat[0]
+                summaries[1:, i] = _overlap_from_flat(flat)
             summaries.flags.writeable = False
             object.__setattr__(self, "_summaries", tuple(summaries))
         return self._summaries
@@ -247,20 +299,37 @@ class CascadePath:
         """Masses of the given vertices at every stored snapshot; shape (T, len(vertices)).
 
         Each entry equals ``masses_flat(i)`` at the vertex's offset bit for
-        bit, but is computed from the vertex's root path and subtree alone.
+        bit, but is computed from the vertex's root path and subtree alone:
+        their states at as many stored snapshots as fit in ``_SERIES_BLOCK``
+        elements are gathered into one block, which takes one root-path
+        product and one level reduction.  Grid index 0 reads the base flow.
         """
         n = self.depth
         out = np.empty((self.n_snapshots, len(vertices)))
+        initial = self.snapshot_indices == 0
+        later = np.nonzero(~initial)[0]
         for c, v in enumerate(vertices):
             if v.depth > n:
                 raise ValueError(f"vertex depth {v.depth} exceeds path depth {n}")
             slices = _level_slices(n, v)
             sub = self.base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
-            for i, cum in enumerate(self._cum):
-                if self.snapshot_indices[i] == 0:
-                    out[i, c] = self.base.mass(v)
-                else:
-                    out[i, c] = _levels_from_leaves(_leaf_masses(sub, cum, slices))[0][0]
+            # a block row holds the sliced states back to back, level by
+            # level (none at depth 0)
+            gather = np.concatenate([np.arange(0)] + [np.arange(sl.start, sl.stop) for sl in slices])
+            block_slices = []
+            for sl in slices:
+                lo = block_slices[-1].stop if block_slices else 0
+                block_slices.append(slice(lo, lo + sl.stop - sl.start))
+            rows = max(1, _SERIES_BLOCK // max(len(gather), 1))
+            for first in range(0, len(later), rows):
+                chunk = later[first : first + rows]
+                # the block is passed on, not kept, so it is freed as soon
+                # as its leaf masses are made
+                leaves = _leaf_masses(
+                    sub, _gather_rows([self._cum[i] for i in chunk], gather), block_slices
+                )
+                out[chunk, c] = _levels_from_leaves(leaves)[0][:, 0]
+            out[initial, c] = self.base.mass(v)
         return out
 
     def index_of_time(self, t):
@@ -450,8 +519,10 @@ def convergence_probe(base, spec, t, depths, h, replicas, seed):
     slices = _level_slices(n_max)
     for r, sr in enumerate(seeds):
         cum = wp.log_increments(spec, 0.0, t, sr, 1, 0, size) if t > 0 else np.zeros(size)
+        # a numpy reduction, not a BLAS dot, so the sums do not depend on
+        # the BLAS thread count
         roots = [
-            float(np.dot(level, np.exp(logx)))
+            float(np.add.reduce(np.multiply(level, np.exp(logx))))
             for level, logx in zip(base.levels, _logx_levels(cum, slices))
         ]
         for c, n in enumerate(depths):

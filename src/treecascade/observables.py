@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _flat_size, _leaf_masses, _level_slices, _overlap_from_levels
+from .engine import _flat_size, _leaf_masses, _level_slices, _overlap_from_flat
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -44,7 +44,7 @@ GIRSANOV_MAX_DEPTH = 4
 def overlap(f):
     """sum over v != root of (mass(v)/mass(root))^2, the truncated
     expected meeting depth of two independent rays."""
-    return _overlap_from_levels(f.levels)[0]
+    return _overlap_from_flat(np.concatenate(f.levels))[0]
 
 
 @dataclass(frozen=True)

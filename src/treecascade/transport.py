@@ -14,12 +14,14 @@ against the distance on the full boundary.
 
 The Hölder distances of a stored path come from one sweep over its
 snapshots in time order: each snapshot a pair reads is materialized
-once, held as its 2^n leaf masses only while a later pair still reads
-it, and the live set never exceeds the pairs spanning the current
-snapshot plus one: 32 leaf arrays (4.2 MB) at most for depth 14 with
-lags up to 64 over 301 snapshots.  The per-level sums are numpy
-reductions, not a BLAS dot, so the distances are the same at any BLAS
-thread count.
+once, into one level-major buffer, normalized by the root in one
+division, and held as a copy of its 2^n leaf masses only while a later
+pair still reads it; the copy does not keep the buffer alive.  The live
+set never exceeds the pairs spanning the current snapshot plus one: 32
+leaf arrays (4.2 MB) at most for depth 14 with lags up to 64 over 301
+snapshots.  The per-level sums, here and in the coupling bound, are
+numpy reductions, not a BLAS dot, so the results are the same at any
+BLAS thread count.
 """
 
 import math
@@ -120,7 +122,8 @@ def coupling_upper_bound(mu, nu):
         nu_left = nu.level(k)[0::2]
         mu_left = mu.level(k)[0::2]
         gap = np.abs(nu_left / nu_parent - mu_left / mu_parent)
-        value += 2.0 ** (-k + 1) * float(np.dot(nu_parent, gap))
+        # a numpy reduction, not a BLAS dot: the same at any BLAS thread count
+        value += 2.0 ** (-k + 1) * float(np.add.reduce(np.multiply(nu_parent, gap)))
     return TransportResult(
         value=value, method="coupling_bound", truncation_bound=2.0**-mu.depth
     )
@@ -156,11 +159,9 @@ def _lag_starts(n_times, lag, pair_budget):
     return np.unique(np.linspace(0, n_pairs - 1, k).round().astype(np.int64))
 
 
-def _normalized_into(levels, out):
-    # levels 1..n divided by the root, level-major, into a flat buffer
-    root = levels[0][0]
-    for k in range(1, len(levels)):
-        np.divide(levels[k], root, out=out[(1 << k) - 2 : (1 << (k + 1)) - 2])
+def _normalized_into(flat, out):
+    # levels 1..n of a level-major buffer divided by its root
+    np.divide(flat[1:], flat[0], out=out)
 
 
 def holder_distances(path, pair_budget=64, lags=None):
@@ -172,14 +173,14 @@ def holder_distances(path, pair_budget=64, lags=None):
     pair_budget evenly spaced pairs per lag.
 
     One sweep in time order materializes each snapshot that a pair reads
-    once, through ``path.mass_levels``.  A snapshot that a later pair
-    still reads is held as its leaf masses alone, which rebuild its
-    levels exactly, and is dropped after its last pair; so the sweep
-    holds at most one leaf array per pair spanning the current snapshot,
-    plus the current one.  Each distance is the per-level sum of the
-    absolute differences of the root-normalized masses, weighted by the
-    edge weight of the level; the sums are numpy reductions, not BLAS,
-    so the result does not depend on the BLAS thread count.
+    once, through ``path.masses_flat``.  A snapshot that a later pair
+    still reads is held as a copy of its leaf masses alone, which
+    rebuild its levels exactly, and is dropped after its last pair; so
+    the sweep holds at most one leaf array per pair spanning the current
+    snapshot, plus the current one.  Each distance is the per-level sum
+    of the absolute differences of the root-normalized masses, weighted
+    by the edge weight of the level; the sums are numpy reductions, not
+    BLAS, so the result does not depend on the BLAS thread count.
     """
     times = path.times
     n_times = len(times)
@@ -220,21 +221,22 @@ def holder_distances(path, pair_budget=64, lags=None):
     diff = np.empty_like(current)
     held = {}
     for s in sorted(last):
-        levels = path.mass_levels(s)
+        flat = path.masses_flat(s)
         if readers[s]:
-            _normalized_into(levels, current)
+            _normalized_into(flat, current)
+        # a copy of the leaves alone, so that no whole buffer stays alive
+        held[s] = flat[-(1 << n) :].copy()
+        del flat
         for r, c, i in readers[s]:
             # a stored snapshot's levels are the pairwise sums of its
             # leaves; the base snapshot's are the base flow's own
             if path.snapshot_indices[i] == 0:
-                _normalized_into(path.base.levels, diff)
+                _normalized_into(np.concatenate(path.base.levels), diff)
             else:
-                _normalized_into(_levels_from_leaves(held[i]), diff)
+                _normalized_into(_levels_from_leaves(held[i])[0].base, diff)
             np.subtract(diff, current, out=diff)
             np.abs(diff, out=diff)
             dists[r][c] = float(np.sum(np.add.reduceat(diff, offsets) * edge_w))
-        held[s] = levels[-1]
-        del levels
         for i in released[s]:
             del held[i]
     return [(lag * dt, d) for lag, d in zip(lags, dists)]

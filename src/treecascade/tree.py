@@ -205,11 +205,31 @@ def _pair_sums(a):
     return a[..., 0::2] + a[..., 1::2]
 
 
+def _level_views(flat):
+    """Levels 0..n of a level-major buffer of 2^(n+1) - 1 masses over the last axis.
+
+    Level k is the view ``flat[..., 2^k - 1 : 2^(k+1) - 1]``, the layout of
+    ``CascadePath.masses_flat``.
+    """
+    n = flat.shape[-1].bit_length() - 1
+    return [flat[..., (1 << k) - 1 : (2 << k) - 1] for k in range(n + 1)]
+
+
 def _levels_from_leaves(leaves):
-    """Per-level pairwise sums of the leaves over the last axis, root level first."""
-    levels = [leaves]
-    while levels[-1].shape[-1] > 1:
-        levels.append(_pair_sums(levels[-1]))
+    """Per-level pairwise sums of the leaves over the last axis, root level first.
+
+    Every level is a view of one new level-major buffer of 2^(n+1) - 1
+    masses over the last axis (``levels[0].base``); see ``_level_views``.
+    """
+    width = leaves.shape[-1]
+    flat = np.empty(leaves.shape[:-1] + (2 * width - 1,))
+    levels = [flat[..., width - 1 :]]
+    levels[0][...] = leaves
+    while width > 1:
+        width //= 2
+        # same bits as _pair_sums, written into the level above
+        below, above = levels[-1], flat[..., width - 1 : 2 * width - 1]
+        levels.append(np.add(below[..., 0::2], below[..., 1::2], out=above))
     return levels[::-1]
 
 
@@ -221,7 +241,9 @@ def flow_from_leaves(leaves):
         raise ValueError("leaf count must be a positive power of two")
     if not np.all(np.isfinite(leaves)) or np.any(leaves < 0):
         raise ValueError("leaf masses must be finite and nonnegative")
-    return Flow(tuple(_freeze(a) for a in _levels_from_leaves(leaves)))
+    levels = _levels_from_leaves(leaves)
+    levels[0].base.flags.writeable = False  # the buffer the levels share
+    return Flow(tuple(_freeze(a) for a in levels))
 
 
 def flow_from_levels(levels):

@@ -133,7 +133,15 @@ class TestSimulatePath:
 
     @pytest.mark.parametrize(
         "case",
-        ["depth0", "uniform", "zero_leaves", "loaded", "snapshot_times", "no_initial_snapshot"],
+        [
+            "depth0",
+            "uniform",
+            "zero_leaves",
+            "loaded",
+            "snapshot_times",
+            "no_initial_snapshot",
+            "depth14_blocks",
+        ],
     )
     def test_vertex_mass_series_bits_match_materialized(self, case):
         grid = engine.make_grid(0.3, 0.05)
@@ -151,10 +159,16 @@ class TestSimulatePath:
             "loaded": (loaded, wp.gaussian_spec(), None),
             "snapshot_times": (tree.uniform_flow(6), wp.gaussian_spec(), [0.3, 0.0, 0.1]),
             "no_initial_snapshot": (tree.uniform_flow(5), wp.gaussian_spec(), [0.25, 0.05]),
+            "depth14_blocks": (tree.uniform_flow(14), wp.gaussian_spec(), [0.05, 0.1, 0.2, 0.25, 0.3]),
         }[case]
         path = engine.simulate_path(base, spec, grid, seed=9, snapshot_times=times)
-        # every vertex: the root, both depth-1 vertices, the leaves at both ends
-        vs = [tree.Vertex(d, b) for d in range(base.depth + 1) for b in range(1 << d)]
+        if base.depth < 14:
+            # every vertex: the root, both depth-1 vertices, the leaves at both ends
+            vs = [tree.Vertex(d, b) for d in range(base.depth + 1) for b in range(1 << d)]
+        else:
+            # the root's blocks hold two snapshots each, so five split three ways
+            assert engine._SERIES_BLOCK // engine._flat_size(14) == 2
+            vs = [tree.ROOT, tree.Vertex(14, 12345), tree.Vertex(3, 5)]
         series = path.vertex_mass_series(vs)
         for i in range(path.n_snapshots):
             flat = path.masses_flat(i)
@@ -163,7 +177,50 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             path.vertex_mass_series([tree.Vertex(base.depth + 1, 0)])
 
-    @pytest.mark.parametrize("case", ["depth0", "depth1", "zero_leaves", "subtree"])
+    @pytest.mark.parametrize("depth", [0, 1, 6, 14])
+    def test_materialized_layout_matches_repeat_reference(self, depth):
+        # reference: log X grown by np.repeat, leaf masses, then numpy's sum
+        # over each pair, level by level, concatenated level-major
+        leaves = np.random.default_rng(depth).random(1 << depth)
+        leaves[::3] = 0.0
+        base = tree.flow_from_leaves(leaves)
+        path = engine.simulate_path(base, wp.gaussian_spec(), engine.make_grid(0.2, 0.1), seed=4)
+        want = []
+        for i in range(path.n_snapshots):
+            cum = path.log_weight_state(i)
+            logx = np.zeros(1)
+            for k in range(1, depth + 1):
+                logx = np.repeat(logx, 2) + cum[(1 << k) - 2 : (2 << k) - 2]
+            ref = [np.exp(logx) * leaves]
+            while len(ref[-1]) > 1:
+                ref.append(ref[-1].reshape(-1, 2).sum(axis=1))
+            ref = ref[::-1]
+            want.append(np.concatenate(ref))
+
+            levels = path.mass_levels(i)
+            assert len(levels) == depth + 1
+            assert all(lvl.base is levels[0].base for lvl in levels)
+            assert levels[0].base.tobytes() == want[i].tobytes()
+            for lvl, r in zip(levels, ref):
+                assert lvl.tobytes() == r.tobytes()
+            assert path.masses_flat(i).tobytes() == want[i].tobytes()
+            snap = path.snapshot(i)
+            for lvl, r in zip(snap.levels, ref):
+                assert lvl.tobytes() == r.tobytes()
+            # a flow's levels share one buffer, frozen with them
+            assert not snap.levels[0].base.flags.writeable
+            assert not any(lvl.flags.writeable for lvl in snap.levels)
+        # an (R, size) batch: one (R, 2^(n+1) - 1) buffer, a level-major row per state
+        batch = np.stack([path.log_weight_state(i) for i in range(path.n_snapshots)])
+        levels = tree._levels_from_leaves(
+            engine._leaf_masses(leaves, batch, engine._level_slices(depth))
+        )
+        flat = levels[0].base
+        assert flat.shape == (path.n_snapshots, (2 << depth) - 1)
+        assert all(lvl.base is flat for lvl in levels)
+        assert flat.tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("case", ["depth0", "depth1", "zero_leaves", "subtree", "wide_batch"])
     def test_leaf_masses_batch_rows_match_single(self, case):
         # an (R, size) replica batch runs the same code as one (size,) state
         leaves = np.random.default_rng(6).random(1 << 5)
@@ -173,7 +230,13 @@ class TestSimulatePath:
             "depth1": (tree.uniform_flow(1), tree.ROOT),
             "zero_leaves": (tree.flow_from_leaves(leaves), tree.ROOT),
             "subtree": (tree.flow_from_leaves(leaves), tree.Vertex(2, 1)),
+            # the batch's deepest level is widened by np.repeat, each row's
+            # alone by strided adds: both give the same bits
+            "wide_batch": (tree.uniform_flow(14), tree.ROOT),
         }[case]
+        if case == "wide_batch":
+            assert 5 << 13 <= engine._STRIDED_WIDEN_MAX < 5 << 14
+            assert 1 << 14 <= engine._STRIDED_WIDEN_MAX
         n = base.depth
         size = engine._flat_size(n)
         cum = wp.log_increments_multi(wp.gaussian_spec(), 0.0, 0.4, derive_seeds(8, 5), 1, 0, size)
@@ -208,7 +271,7 @@ class TestSimulatePath:
             levels = path.mass_levels(i)
             shares = [float(np.sum((lvl / levels[0][0]) ** 2)) for lvl in levels]
             want = (sum(shares[1:], 0.0), shares[-1])
-            assert engine._overlap_from_levels(levels) == want
+            assert engine._overlap_from_flat(path.masses_flat(i)) == want
             assert (path.snapshot_summaries()[1][i], path.snapshot_summaries()[2][i]) == want
 
     def test_summaries_materialize_each_snapshot_once(self, monkeypatch):

@@ -205,6 +205,39 @@ def _zero_leaf_cp_path():
     return engine.simulate_path(tree.flow_from_leaves(leaves), spec, grid, seed=2)
 
 
+def _output_at_blas_threads(script, threads):
+    """Standard output of a Python script run with the given BLAS thread count."""
+    src = str(Path(transport.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_dot_reductions_independent_of_blas_threads():
+    # levels of 2^13 and 2^14 masses, long enough for a threaded BLAS dot
+    script = (
+        "import numpy as np\n"
+        "from treecascade import engine, transport, tree, weights\n"
+        "report = engine.convergence_probe(tree.uniform_flow(15), weights.gaussian_spec(),\n"
+        "                                  0.3, [13, 14], 1.0, 2, 5)\n"
+        "print(report.means().tobytes().hex())\n"
+        # nearly equal pair sums: the bound is all deepest level, 2^14 terms
+        "g = np.random.default_rng(0)\n"
+        "pairs = g.random(1 << 14) + 0.1\n"
+        "mu, nu = (\n"
+        "    tree.normalize(tree.flow_from_leaves(np.stack([pairs * s, pairs * (1 - s)], 1).ravel()))\n"
+        "    for s in g.random((2, 1 << 14)) * 0.8 + 0.1\n"
+        ")\n"
+        "print(float(transport.coupling_upper_bound(mu, nu).value).hex())\n"
+    )
+    outputs = [_output_at_blas_threads(script, threads) for threads in ("1", "2")]
+    assert len(outputs[0].split()) == 2
+    assert outputs[0] == outputs[1]
+
+
 SWEEP_CASES = {
     "depth0": lambda: _gauss_path(0, 0.1, 0.01),
     "depth1": lambda: _gauss_path(1, 0.1, 0.01),
@@ -265,20 +298,41 @@ class TestHolderSweep:
         mass_levels = engine.CascadePath.mass_levels
 
         def watched(self, s):
-            alive = {i for i, ref in refs.items() if ref() is not None}
-            assert alive == {i for i in refs if last[i] >= s}
+            # the sweep's held set as it stands when snapshot s is materialized
+            frame = sys._getframe(1)
+            while frame.f_code is not transport.holder_distances.__code__:
+                frame = frame.f_back
+            held = frame.f_locals["held"]
+            assert set(held) == {i for i in last if i < s <= last[i]}
             spanning = sum(i < s <= j for i, j in pairs)
-            assert len(alive) <= spanning
-            levels = mass_levels(self, s)
-            refs[s] = weakref.ref(levels[-1])
-            checked.append(len(alive))
-            return levels
+            assert len(held) <= spanning
+            refs.update((i, weakref.ref(a)) for i, a in held.items())
+            checked.append(len(held))
+            return mass_levels(self, s)
 
         monkeypatch.setattr(engine.CascadePath, "mass_levels", watched)
         transport.holder_distances(path, pair_budget=12, lags=lags)
         assert len(checked) == len(last)
         assert max(checked) > 1
         assert all(ref() is None for ref in refs.values())
+
+    def test_held_leaves_do_not_pin_materialized_buffers(self, monkeypatch):
+        # each materialization is one level-major buffer; the sweep holds a
+        # copy of its leaves, so no buffer outlives its own step
+        path = _gauss_path(4, 0.5, 0.005, np.arange(1, 101) / 200)
+        buffers = []
+        mass_levels = engine.CascadePath.mass_levels
+
+        def watched(self, s):
+            assert all(ref() is None for ref in buffers)
+            levels = mass_levels(self, s)
+            assert all(lvl.base is levels[0].base for lvl in levels)
+            buffers.append(weakref.ref(levels[0].base))
+            return levels
+
+        monkeypatch.setattr(engine.CascadePath, "mass_levels", watched)
+        transport.holder_distances(path, pair_budget=12, lags=(1, 2, 8, 32))
+        assert len(buffers) > 30
 
     def test_distances_independent_of_blas_threads(self):
         # depth 13: 16 382 masses per snapshot, long enough for a threaded BLAS dot
@@ -290,15 +344,7 @@ class TestHolderSweep:
             "rows = transport.holder_distances(path, lags=(1, 2, 4))\n"
             "print(hashlib.sha256(np.concatenate([d for _, d in rows]).tobytes()).hexdigest())\n"
         )
-        src = str(Path(transport.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-            out = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-            )
-            digests.append(out.stdout.strip())
+        digests = [_output_at_blas_threads(script, threads) for threads in ("1", "2")]
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
 
