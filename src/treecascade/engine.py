@@ -14,6 +14,9 @@ remaining increments; ``compose`` exposes that operation and
 ``compose_from_path`` replays a stored path's own increments, which
 reproduces its snapshots to floating-point accuracy.
 
+Every log-state, a single path's or a replica batch's, advances through
+one evolution loop, ``_evolve``; a single path is a batch of one seed.
+
 Weight state is accumulated in log space; masses exponentiate only when a
 snapshot is materialized: leaf log-states are summed root first along each
 root path, exponentiated, and summed pairwise level by level.  This module
@@ -40,10 +43,10 @@ from .rng import derive_seeds
 from .tree import (
     ROOT,
     Flow,
+    _freeze,
     _level_views,
     _levels_from_leaves,
     flow_from_leaves,
-    flow_from_levels,
     truncate,
 )
 from . import weights as wp
@@ -133,6 +136,24 @@ def _leaf_masses(leaves, cum, slices):
 
 def _mass_levels(base, cum):
     return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
+
+
+def _evolve(spec, seeds, durations, depth, first_step=1, start=0.0):
+    """Yield the (len(seeds), size) log-state at 0 and after each duration.
+
+    Step j adds the increments keyed (seed, vertex, first_step + j) in
+    place, from time ``start`` plus the earlier durations; a zero duration
+    draws nothing.  Every yield is the same array: copy a state to keep it.
+    """
+    size = _flat_size(depth)
+    state = np.zeros((len(seeds), size))
+    yield state
+    t = start
+    for j, dt in enumerate(map(float, durations)):
+        if dt != 0.0:
+            state += wp.log_increments_multi(spec, t, dt, seeds, first_step + j, 0, size)
+        t += dt
+        yield state
 
 
 def _gather_rows(states, index):
@@ -268,8 +289,11 @@ class CascadePath:
         if self.snapshot_indices[i] == 0:
             return self.base
         levels = self.mass_levels(i)
-        levels[0].base.flags.writeable = False  # the buffer the levels share
-        return flow_from_levels(levels)
+        flat = levels[0].base  # the buffer the levels share
+        if not np.all(np.isfinite(flat)):
+            raise ValueError(f"snapshot {i} has non-finite masses")
+        flat.flags.writeable = False
+        return Flow(tuple(_freeze(a) for a in levels))
 
     def root_mass(self, i):
         return float(self.mass_levels(i)[0][0])
@@ -386,18 +410,10 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
         raise ValueError("depth must be between 0 and base.depth")
     base = truncate(base, depth)
     want = _resolve_snapshot_indices(grid, snapshot_times)
-    size = _flat_size(depth)
 
-    stored = []
-    state = np.zeros(size)
     want_set = set(int(i) for i in want)
-    if 0 in want_set:
-        stored.append(state.copy())
-    for j in range(1, len(grid)):
-        dt = float(grid[j] - grid[j - 1])
-        state += wp.log_increments(spec, float(grid[j - 1]), dt, seed, j, 0, size)
-        if j in want_set:
-            stored.append(state.copy())
+    states = enumerate(_evolve(spec, [seed], np.diff(grid), depth))
+    stored = [state[0].copy() for j, state in states if j in want_set]
     for a in stored:
         a.flags.writeable = False
     grid = grid.copy()
@@ -415,13 +431,8 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
 def _compose_with_increments(current, spec, start_time, durations, seed, first_step):
     if current.depth == 0:
         return current
-    size = _flat_size(current.depth)
-    cum = np.zeros(size)
-    t = start_time
-    for j, dt in enumerate(durations):
-        cum += wp.log_increments(spec, t, float(dt), seed, first_step + j, 0, size)
-        t += dt
-    return flow_from_leaves(_leaf_masses(current.leaves, cum, _level_slices(current.depth)))
+    *_, cum = _evolve(spec, [seed], durations, current.depth, first_step, start_time)
+    return flow_from_leaves(_leaf_masses(current.leaves, cum[0], _level_slices(current.depth)))
 
 
 def compose(current, spec, t, s, seed, steps=1, first_step=1):
@@ -512,18 +523,17 @@ def convergence_probe(base, spec, t, depths, h, replicas, seed):
         raise ValueError("need at least 2 replicas")
     n_max = depths[-1] + 1
     base = truncate(base, n_max)
-    size = _flat_size(n_max)
-    seeds = [int(s) for s in derive_seeds(seed, replicas)]
 
     diffs = np.empty((replicas, len(depths)))
     slices = _level_slices(n_max)
-    for r, sr in enumerate(seeds):
-        cum = wp.log_increments(spec, 0.0, t, sr, 1, 0, size) if t > 0 else np.zeros(size)
+    # one replica at a time: a depth-15 state is 512 KiB per replica
+    for r, sr in enumerate(derive_seeds(seed, replicas)):
+        *_, cum = _evolve(spec, [sr], [t], n_max)
         # a numpy reduction, not a BLAS dot, so the sums do not depend on
         # the BLAS thread count
         roots = [
             float(np.add.reduce(np.multiply(level, np.exp(logx))))
-            for level, logx in zip(base.levels, _logx_levels(cum, slices))
+            for level, logx in zip(base.levels, _logx_levels(cum[0], slices))
         ]
         for c, n in enumerate(depths):
             diffs[r, c] = abs(roots[n + 1] - roots[n]) ** h

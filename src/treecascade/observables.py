@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _flat_size, _leaf_masses, _level_slices, _overlap_from_flat
+from .engine import _evolve, _leaf_masses, _level_slices, _overlap_from_flat
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -183,20 +183,18 @@ def girsanov_check(base, spec, t_end, vertex, replicas, seed, step=0.01):
     if t_end == 0.0:
         return GirsanovReport(0.0, 0.0, 0.0, 0.0, replicas)
 
-    size = _flat_size(base.depth)
     m_steps = int(round(t_end / step))
     if abs(m_steps * step - t_end) > 1e-9 or m_steps < 1:
         raise ValueError("t_end must be a positive multiple of step")
     seeds = derive_seeds(seed, replicas)
     slices = _level_slices(base.depth)
 
-    cum = np.zeros((replicas, size))
     integral = np.zeros(replicas)
     dt = t_end / m_steps
-    for j in range(1, m_steps + 1):
-        levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
-        integral += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
-        cum += wp.log_increments_multi(spec, (j - 1) * dt, dt, seeds, j, 0, size)
+    for j, cum in enumerate(_evolve(spec, seeds, np.full(m_steps, dt), base.depth)):
+        if j < m_steps:
+            levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
+            integral += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
 
     m_weight = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
     b_vertex = cum[:, flat_index(vertex)] + 0.5 * t_end

@@ -172,9 +172,11 @@ def vertex_uniforms(seed, step_index, first, count, lanes):
 
 
 def vertex_uniforms_multi(seeds, step_index, first, count, lanes):
-    """Like ``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes)."""
+    """Like ``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes).
+
+    Each seed is reduced mod 2^64, as ``vertex_uniforms`` reduces its one.
+    """
     b_lo, n_blocks, skip = _word_span(first, count, lanes)
-    seeds = np.asarray(seeds, dtype=np.uint64)
     if count == 0:
         return np.empty((len(seeds), 0, lanes), dtype=np.float64)
     # Each seed's words become uniforms while they are in cache, straight

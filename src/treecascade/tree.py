@@ -247,8 +247,11 @@ def flow_from_leaves(leaves):
 
 
 def flow_from_levels(levels):
-    """Flow from explicit per-level masses (shape-checked, not conservation-checked)."""
-    arrs = [np.ascontiguousarray(a, dtype=np.float64) for a in levels]
+    """Flow from explicit per-level masses (shape-checked, not conservation-checked).
+
+    The flow holds read-only copies: the caller's arrays stay as they were.
+    """
+    arrs = [np.array(a, dtype=np.float64) for a in levels]
     for k, a in enumerate(arrs):
         if a.shape != (1 << k,):
             raise ValueError(f"level {k} must have {1 << k} masses, got shape {a.shape}")

@@ -34,6 +34,8 @@ __all__ = [
     "SuiteConfig",
     "test_markov_marginal",
     "test_martingale",
+    "markov_marginal_pair",
+    "martingale_pair",
     "test_composition",
     "test_regularity_propagation",
     "test_holder_slope",
@@ -70,22 +72,58 @@ def _verdict(ok, replicas, min_replicas):
 
 def _root_samples(base, spec, times, seeds, chunk=256):
     """Root masses at the given times for one path per seed; (R, T) array."""
-    times = np.asarray(times, dtype=np.float64)
-    size = engine._flat_size(base.depth)
+    durations = np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
     slices = engine._level_slices(base.depth)
-    out = np.empty((len(seeds), len(times)))
+    out = np.empty((len(seeds), len(durations)))
     for lo in range(0, len(seeds), chunk):
-        sub = seeds[lo : lo + chunk]
-        cum = np.zeros((len(sub), size))
-        t_prev = 0.0
-        for j, t in enumerate(times, start=1):
-            dt = float(t - t_prev)
-            if dt > 0:
-                cum += wp.log_increments_multi(spec, t_prev, dt, sub, j, 0, size)
-            leaves = engine._leaf_masses(base.leaves, cum, slices)
-            out[lo : lo + len(sub), j - 1] = leaves.sum(axis=1)
-            t_prev = float(t)
+        states = engine._evolve(spec, seeds[lo : lo + chunk], durations, base.depth)
+        next(states)  # the zero state at time 0
+        for j, cum in enumerate(states):
+            out[lo : lo + chunk, j] = engine._leaf_masses(base.leaves, cum, slices).sum(axis=1)
     return out
+
+
+def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_replicas, controls):
+    """Markov reports, one per entry of ``controls`` (False: the test, True: its control).
+
+    All share the direct samples and the time-t states; each window (s, or
+    s/2 for the control) cascades them by the same fresh uniforms.
+    """
+    if base is None:
+        base = uniform_flow(depth)
+    if spec is None:
+        spec = wp.gaussian_spec()
+    slices = engine._level_slices(base.depth)
+    direct = _root_samples(base, spec, [t + s], derive_seeds(derive_seed(seed, 0), replicas))[:, 0]
+    evolve_seeds, fresh_seeds = (derive_seeds(derive_seed(seed, k), replicas) for k in (1, 2))
+    windows = [s / 2.0 if control else s for control in controls]
+    composed = np.empty((replicas, len(windows)))
+    chunk = 256
+    for lo in range(0, replicas, chunk):
+        *_, cum = engine._evolve(spec, evolve_seeds[lo : lo + chunk], [t], base.depth)
+        leaves_t = engine._leaf_masses(base.leaves, cum, slices)
+        fresh = fresh_seeds[lo : lo + chunk]
+        for c, s_used in enumerate(windows):
+            *_, cum = engine._evolve(spec, fresh, [s_used], base.depth, start=t)
+            composed[lo : lo + chunk, c] = engine._leaf_masses(leaves_t, cum, slices).sum(axis=1)
+
+    from scipy.stats import ks_2samp  # a slow import, made only where it is used
+
+    reports = []
+    for c, (control, s_used) in enumerate(zip(controls, windows)):
+        p_value = float(ks_2samp(direct, composed[:, c]).pvalue)
+        reports.append(
+            TestReport(
+                test_name="markov_marginal_control" if control else "markov_marginal",
+                statistic=p_value,
+                threshold=threshold,
+                replicas=replicas,
+                seed=seed,
+                verdict=_verdict(p_value > threshold, replicas, min_replicas),
+                detail=f"t={t} s={s_used} depth={base.depth}",
+            )
+        )
+    return reports
 
 
 def test_markov_marginal(
@@ -105,43 +143,67 @@ def test_markov_marginal(
 
     The control composes with duration s/2 instead of s and must Fail.
     """
+    args = (base, spec, t, s, depth, replicas, seed, threshold, min_replicas)
+    return _markov_reports(*args, controls=(control,))[0]
+
+
+def markov_marginal_pair(
+    base=None,
+    spec=None,
+    t=0.3,
+    s=0.3,
+    depth=12,
+    replicas=2000,
+    seed=0,
+    threshold=0.01,
+    min_replicas=200,
+):
+    """(test, control) of ``test_markov_marginal`` from one draw.
+
+    Each report equals the one ``test_markov_marginal`` gives with the same
+    arguments; the direct samples and the time-t states are drawn once.
+    """
+    args = (base, spec, t, s, depth, replicas, seed, threshold, min_replicas)
+    return tuple(_markov_reports(*args, controls=(False, True)))
+
+
+def _martingale_reports(
+    base, spec, times, depth, replicas, seed, threshold, min_replicas, controls
+):
+    """Martingale reports, one per entry of ``controls`` (False: the test,
+    True: the uncompensated control), all scored on the same root samples."""
     if base is None:
         base = uniform_flow(depth)
     if spec is None:
         spec = wp.gaussian_spec()
-    size = engine._flat_size(base.depth)
-    slices = engine._level_slices(base.depth)
-    seed_direct = derive_seed(seed, 0)
-    seed_evolve = derive_seed(seed, 1)
-    seed_fresh = derive_seed(seed, 2)
-    s_used = s / 2.0 if control else s
-
-    direct = _root_samples(base, spec, [t + s], derive_seeds(seed_direct, replicas))[:, 0]
-
-    evolve_seeds = derive_seeds(seed_evolve, replicas)
-    fresh_seeds = derive_seeds(seed_fresh, replicas)
-    composed = np.empty(replicas)
-    chunk = 256
-    for lo in range(0, replicas, chunk):
-        cum = wp.log_increments_multi(spec, 0.0, t, evolve_seeds[lo : lo + chunk], 1, 0, size)
-        leaves_t = engine._leaf_masses(base.leaves, cum, slices)
-        cum = wp.log_increments_multi(spec, t, s_used, fresh_seeds[lo : lo + chunk], 1, 0, size)
-        composed[lo : lo + len(cum)] = engine._leaf_masses(leaves_t, cum, slices).sum(axis=1)
-
-    from scipy.stats import ks_2samp  # a slow import, made only where it is used
-
-    p_value = float(ks_2samp(direct, composed).pvalue)
-    name = "markov_marginal_control" if control else "markov_marginal"
-    ok = p_value > threshold
-    return TestReport(
-        test_name=name,
-        statistic=p_value,
-        threshold=threshold,
-        replicas=replicas,
-        seed=seed,
-        verdict=_verdict(ok, replicas, min_replicas),
-        detail=f"t={t} s={s_used} depth={base.depth}",
-    )
+    if any(controls) and spec.kind != wp.GAUSSIAN:
+        raise ValueError("uncompensated control is defined for the continuous kind")
+    times = tuple(float(t) for t in times)
+    samples = _root_samples(base, spec, times, derive_seeds(seed, replicas))
+    reports = []
+    for uncompensated in controls:
+        roots = samples
+        if uncompensated:
+            roots = roots * np.exp(base.depth * np.asarray(times) / 2.0)[None, :]
+        means = roots.mean(axis=0)
+        ses = roots.std(axis=0, ddof=1) / math.sqrt(replicas)
+        # Where every replica equals the initial mass (a depth-0 base) there
+        # is neither spread nor deviation: z is 0, not 0/0.
+        exact = np.all(roots == base.root_mass, axis=0)
+        z = np.abs(means - base.root_mass) / np.where(exact, np.inf, ses)
+        stat = float(np.max(z))
+        reports.append(
+            TestReport(
+                test_name="martingale_control" if uncompensated else "martingale",
+                statistic=stat,
+                threshold=threshold,
+                replicas=replicas,
+                seed=seed,
+                verdict=_verdict(stat <= threshold, replicas, min_replicas),
+                detail=f"times={times} depth={base.depth}",
+            )
+        )
+    return reports
 
 
 def test_martingale(
@@ -163,34 +225,27 @@ def test_martingale(
     default times stay below log 2: the binary Gaussian cascade's root
     mass has finite variance only while 2 (1/2)^2 E[W_t^2] = e^t / 2 < 1.
     """
-    if base is None:
-        base = uniform_flow(depth)
-    if spec is None:
-        spec = wp.gaussian_spec()
-    if uncompensated and spec.kind != wp.GAUSSIAN:
-        raise ValueError("uncompensated control is defined for the continuous kind")
-    times = tuple(float(t) for t in times)
-    roots = _root_samples(base, spec, times, derive_seeds(seed, replicas))
-    if uncompensated:
-        roots = roots * np.exp(base.depth * np.asarray(times) / 2.0)[None, :]
-    means = roots.mean(axis=0)
-    ses = roots.std(axis=0, ddof=1) / math.sqrt(replicas)
-    # Where every replica equals the initial mass (a depth-0 base) there is
-    # neither spread nor deviation: z is 0, not 0/0.
-    exact = np.all(roots == base.root_mass, axis=0)
-    z = np.abs(means - base.root_mass) / np.where(exact, np.inf, ses)
-    stat = float(np.max(z))
-    name = "martingale_control" if uncompensated else "martingale"
-    ok = stat <= threshold
-    return TestReport(
-        test_name=name,
-        statistic=stat,
-        threshold=threshold,
-        replicas=replicas,
-        seed=seed,
-        verdict=_verdict(ok, replicas, min_replicas),
-        detail=f"times={times} depth={base.depth}",
-    )
+    args = (base, spec, times, depth, replicas, seed, threshold, min_replicas)
+    return _martingale_reports(*args, controls=(uncompensated,))[0]
+
+
+def martingale_pair(
+    base=None,
+    spec=None,
+    times=(0.2, 0.4, 0.6),
+    depth=12,
+    replicas=2000,
+    seed=0,
+    threshold=4.0,
+    min_replicas=200,
+):
+    """(test, control) of ``test_martingale`` from one draw.
+
+    Each report equals the one ``test_martingale`` gives with the same
+    arguments; the root samples are drawn once and scored twice.
+    """
+    args = (base, spec, times, depth, replicas, seed, threshold, min_replicas)
+    return tuple(_martingale_reports(*args, controls=(False, True)))
 
 
 def test_composition(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,10 @@ from hypothesis import strategies as st
 from treecascade import engine, observables, tree
 from treecascade import weights as wp
 from treecascade.rng import derive_seeds
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 class TestGrid:
@@ -61,6 +66,19 @@ class TestCascadeStatic:
 
 
 class TestSimulatePath:
+    def test_compound_poisson_subset_negative_seed_anchor(self):
+        # frozen root masses and level bytes of a path stored at a subset of
+        # its grid, under a negative seed (keys are taken mod 2^64)
+        grid = engine.make_grid(0.5, 0.1)
+        p = engine.simulate_path(
+            tree.uniform_flow(5), wp.compound_poisson_spec(), grid, seed=-3, snapshot_times=[0.2, 0.5]
+        )
+        assert p.root_masses().tolist() == [0.9831655352792409, 0.8399780474094312]
+        assert [_digest(p.masses_flat(i)) for i in range(2)] == [
+            "b50cfe5ea5767b3618f6155c184af512768ec379da8763be0bacf45fb50f9d54",
+            "5c87f8d36a613eee1a1d697c1d2769108ba4da79a0c1cc28aac159ce3682e130",
+        ]
+
     def test_snapshot_zero_is_base_object(self):
         base = tree.uniform_flow(3)
         path = engine.simulate_path(base, wp.gaussian_spec(), engine.make_grid(0.2, 0.1))
@@ -207,7 +225,9 @@ class TestSimulatePath:
             snap = path.snapshot(i)
             for lvl, r in zip(snap.levels, ref):
                 assert lvl.tobytes() == r.tobytes()
-            # a flow's levels share one buffer, frozen with them
+            # a flow's levels share one buffer, not a copy, frozen with them
+            assert snap.levels[0].base is not None
+            assert all(lvl.base is snap.levels[0].base for lvl in snap.levels)
             assert not snap.levels[0].base.flags.writeable
             assert not any(lvl.flags.writeable for lvl in snap.levels)
         # an (R, size) batch: one (R, 2^(n+1) - 1) buffer, a level-major row per state
@@ -294,6 +314,15 @@ class TestSimulatePath:
         assert np.array_equal(roots, roots_again)
         assert np.array_equal(q, series.overlap)
 
+    def test_snapshot_rejects_non_finite_masses(self):
+        # the root mass of this base already overflows, and a step of
+        # weight near one keeps it past the largest double
+        with np.errstate(over="ignore"):
+            base = tree.flow_from_leaves([1.5e308, 1.5e308])
+            path = engine.simulate_path(base, wp.gaussian_spec(), [0.0, 0.1], seed=1)
+            with pytest.raises(ValueError):
+                path.snapshot(1)
+
     def test_index_of_time(self):
         base = tree.uniform_flow(2)
         path = engine.simulate_path(base, wp.gaussian_spec(), engine.make_grid(0.2, 0.1))
@@ -346,6 +375,27 @@ class TestComposition:
             for k in range(base.depth + 1):
                 np.testing.assert_allclose(out.level(k), direct.level(k), rtol=1e-12, atol=0.0)
 
+    COMPOSED = {
+        "gaussian": (
+            "e08f5eaa53dd5dd74a2ebbc70f3024dd1b41e41bb867b62a737e95cb66ecdc96",
+            "01f6d3d8f57c7896530ef7b8b2b0659f798b642475533f783f62a368f0b25342",
+        ),
+        "compound_poisson": (
+            "79d70e503de72dd252b91332632802fcede6d239192a1e110166aa80805c728c",
+            "7714e466d5a7bd23b9b10dbf6ec683b1fc04f1fa4508ff58f46d23113e89f116",
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_frozen_levels(self, spec):
+        # level bytes of compose and compose_from_path, pinned bit for bit
+        base = tree.uniform_flow(4)
+        composed = engine.compose(base, spec, 0.2, 0.3, seed=19, steps=3, first_step=2)
+        path = engine.simulate_path(base, spec, engine.make_grid(0.5, 0.1), seed=19)
+        replayed = engine.compose_from_path(path, 1, 4)
+        got = tuple(_digest(np.concatenate(f.levels)) for f in (composed, replayed))
+        assert got == self.COMPOSED[spec.kind]
+
     def test_compose_validation(self):
         f = tree.uniform_flow(2)
         with pytest.raises(ValueError):
@@ -384,6 +434,34 @@ class TestConvergenceProbe:
         # analytic decay rate per level: log(E[W^h] 2^(1-h)) < 0 here
         alpha = math.log(wp.moment(wp.gaussian_spec(), 0.4, 1.5) * 2.0**-0.5)
         assert report.fitted_slope() < alpha + 0.1
+
+    FROZEN = {
+        "gaussian": (
+            [
+                (0.1236011117809064, 0.06634966544368792),
+                (0.09305331645207127, 0.04995207650141525),
+                (0.03031727965375683, 0.014344416960192386),
+            ],
+            0.24864858028839903,
+        ),
+        "compound_poisson": (
+            [
+                (0.028520283340458166, 0.007858543618204525),
+                (0.006656739271663231, 0.001914618400140348),
+                (0.002273066518075368, 0.0007715208321734632),
+            ],
+            0.07711690786396763,
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_frozen_anchor(self, spec):
+        # row means, SEs and the fitted constant, bit for bit; the powers are
+        # Python's float ** h, which numpy's array power differs from in ulps
+        report = engine.convergence_probe(tree.uniform_flow(7), spec, 0.4, (2, 4, 6), 1.5, 12, 3)
+        rows, c_fitted = self.FROZEN[spec.kind]
+        assert [(row.mean, row.se) for row in report.rows] == rows
+        assert report.c_fitted == c_fitted
 
     def test_probe_validation(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,15 @@ class TestFlowConstruction:
         with pytest.raises(ValueError):
             f.leaves[0] = 5.0
 
+    def test_from_levels_copies_caller_arrays(self):
+        root, leaves = np.array([1.0]), np.array([0.5, 0.5])
+        f = tree.flow_from_levels([root, leaves])
+        assert root.flags.writeable and leaves.flags.writeable
+        leaves[0] = 0.25
+        assert f.leaves[0] == 0.5
+        with pytest.raises(ValueError):
+            f.leaves[0] = 0.25
+
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             tree.uniform_flow(tree.MAX_DEPTH + 1)

@@ -167,3 +167,29 @@ class TestRootSamples:
     def test_frozen_anchor(self, spec):
         roots = verify._root_samples(tree.uniform_flow(6), spec, (0.1, 0.3), derive_seeds(2024, 8))
         assert roots.tolist() == self.ROOTS[spec.kind]
+
+
+class TestMarkovAnchor:
+    # frozen KS p-values of the test and its control: direct samples, the
+    # time-t state and the fresh windows at s and s/2
+    P_VALUES = {
+        "gaussian": (0.2926468667924955, 0.00033397069759294196),
+        "compound_poisson": (0.2926468667924955, 0.21005749381264038),
+    }
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_frozen_statistics(self, spec):
+        kw = dict(spec=spec, depth=6, replicas=300, seed=7)
+        reports = tuple(verify.test_markov_marginal(control=c, **kw) for c in (False, True))
+        assert tuple(r.statistic for r in reports) == self.P_VALUES[spec.kind]
+        # the pair draws once what the two calls draw twice
+        assert verify.markov_marginal_pair(**kw) == reports
+
+
+def test_martingale_pair_matches_separate_calls():
+    kw = dict(depth=7, replicas=300, seed=9, times=(0.1, 0.3))
+    pair = verify.martingale_pair(**kw)
+    assert pair == tuple(verify.test_martingale(uncompensated=c, **kw) for c in (False, True))
+    assert [r.verdict for r in pair] == [verify.PASS, verify.FAIL]
+    with pytest.raises(ValueError):
+        verify.martingale_pair(spec=wp.compound_poisson_spec(), **kw)

@@ -132,6 +132,14 @@ class TestIncrements:
             row = wp.log_increments(spec, 0.0, 0.2, int(s), 3, 0, 32)
             assert np.array_equal(multi[i], row)
 
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_multi_reduces_seeds_like_single(self, spec):
+        # keys are taken mod 2^64 in both samplers: -3 and 2^64 + 5 are
+        # batch seeds as valid as they are single ones
+        multi = wp.log_increments_multi(spec, 0.0, 0.1, [-3, 2**64 + 5], 1, 0, 14)
+        assert np.array_equal(multi[0], wp.log_increments(spec, 0.0, 0.1, -3, 1, 0, 14))
+        assert np.array_equal(multi[1], wp.log_increments(spec, 0.0, 0.1, 5, 1, 0, 14))
+
     def test_sample_increment_matches_bulk(self):
         spec = wp.gaussian_spec()
         v = tree.Vertex(3, 5)
