@@ -139,7 +139,7 @@ def _mass_levels(base, cum):
 
 
 def _evolve(spec, seeds, durations, depth, first_step=1, start=0.0):
-    """Yield the (len(seeds), size) log-state at 0 and after each duration.
+    """Yield the (len(seeds), size) log-state, zero at first, and after each duration.
 
     Step j adds the increments keyed (seed, vertex, first_step + j) in
     place, from time ``start`` plus the earlier durations; a zero duration
