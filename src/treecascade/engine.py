@@ -138,20 +138,17 @@ def _mass_levels(base, cum):
     return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
-def _evolve(spec, seeds, durations, depth, first_step=1, start=0.0):
+def _evolve(spec, seeds, durations, depth, first_step=1, t=0.0):
     """Yield the (len(seeds), size) log-state, zero at first, and after each duration.
 
-    Step j adds the increments keyed (seed, vertex, first_step + j) in
-    place, from time ``start`` plus the earlier durations; a zero duration
-    draws nothing.  Every yield is the same array: copy a state to keep it.
+    Step j adds, in place, increments keyed (seed, vertex, first_step + j) from time
+    ``t`` plus the earlier durations; a zero duration draws nothing.  Yields share one array.
     """
-    size = _flat_size(depth)
-    state = np.zeros((len(seeds), size))
+    state = np.zeros((len(seeds), _flat_size(depth)))
     yield state
-    t = start
     for j, dt in enumerate(map(float, durations)):
         if dt != 0.0:
-            state += wp.log_increments_multi(spec, t, dt, seeds, first_step + j, 0, size)
+            state += wp.log_increments_multi(spec, t, dt, seeds, first_step + j, 0, state.shape[1])
         t += dt
         yield state
 
@@ -526,7 +523,6 @@ def convergence_probe(base, spec, t, depths, h, replicas, seed):
 
     diffs = np.empty((replicas, len(depths)))
     slices = _level_slices(n_max)
-    # one replica at a time: a depth-15 state is 512 KiB per replica
     for r, sr in enumerate(derive_seeds(seed, replicas)):
         *_, cum = _evolve(spec, [sr], [t], n_max)
         # a numpy reduction, not a BLAS dot, so the sums do not depend on
@@ -535,6 +531,7 @@ def convergence_probe(base, spec, t, depths, h, replicas, seed):
             float(np.add.reduce(np.multiply(level, np.exp(logx))))
             for level, logx in zip(base.levels, _logx_levels(cum[0], slices))
         ]
+        del _, cum  # one replica's state at a time: 512 KiB at depth 15
         for c, n in enumerate(depths):
             diffs[r, c] = abs(roots[n + 1] - roots[n]) ** h
     means = diffs.mean(axis=0)

@@ -78,9 +78,17 @@ def _root_samples(base, spec, times, seeds, chunk=256):
     for lo in range(0, len(seeds), chunk):
         states = engine._evolve(spec, seeds[lo : lo + chunk], durations, base.depth)
         next(states)  # the zero state at time 0
-        for j, cum in enumerate(states):
-            out[lo : lo + chunk, j] = engine._leaf_masses(base.leaves, cum, slices).sum(axis=1)
+        # a comprehension, so no name holds this chunk's state into the next
+        roots = [engine._leaf_masses(base.leaves, cum, slices).sum(axis=1) for cum in states]
+        out[lo : lo + chunk] = np.column_stack(roots)
     return out
+
+
+def _cascaded_leaves(leaves, spec, seeds, start, duration):
+    """``leaves`` cascaded by one fresh step, a row per seed; the state dies on return."""
+    depth = leaves.shape[-1].bit_length() - 1
+    *_, cum = engine._evolve(spec, seeds, [duration], depth, t=start)
+    return engine._leaf_masses(leaves, cum, engine._level_slices(depth))
 
 
 def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_replicas, controls):
@@ -93,19 +101,17 @@ def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_repl
         base = uniform_flow(depth)
     if spec is None:
         spec = wp.gaussian_spec()
-    slices = engine._level_slices(base.depth)
     direct = _root_samples(base, spec, [t + s], derive_seeds(derive_seed(seed, 0), replicas))[:, 0]
     evolve_seeds, fresh_seeds = (derive_seeds(derive_seed(seed, k), replicas) for k in (1, 2))
     windows = [s / 2.0 if control else s for control in controls]
     composed = np.empty((replicas, len(windows)))
     chunk = 256
     for lo in range(0, replicas, chunk):
-        *_, cum = engine._evolve(spec, evolve_seeds[lo : lo + chunk], [t], base.depth)
-        leaves_t = engine._leaf_masses(base.leaves, cum, slices)
+        leaves_t = _cascaded_leaves(base.leaves, spec, evolve_seeds[lo : lo + chunk], 0.0, t)
         fresh = fresh_seeds[lo : lo + chunk]
         for c, s_used in enumerate(windows):
-            *_, cum = engine._evolve(spec, fresh, [s_used], base.depth, start=t)
-            composed[lo : lo + chunk, c] = engine._leaf_masses(leaves_t, cum, slices).sum(axis=1)
+            roots = _cascaded_leaves(leaves_t, spec, fresh, t, s_used).sum(axis=1)
+            composed[lo : lo + chunk, c] = roots
 
     from scipy.stats import ks_2samp  # a slow import, made only where it is used
 
