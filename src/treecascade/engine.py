@@ -425,11 +425,18 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
     )
 
 
+def _cascade_leaves(leaves, spec, seeds, durations, first_step=1, t=0.0):
+    """``leaves`` cascaded by fresh increments, a row per seed; the state dies on return."""
+    depth = leaves.shape[-1].bit_length() - 1
+    *_, cum = _evolve(spec, seeds, durations, depth, first_step, t)
+    return _leaf_masses(leaves, cum, _level_slices(depth))
+
+
 def _compose_with_increments(current, spec, start_time, durations, seed, first_step):
     if current.depth == 0:
         return current
-    *_, cum = _evolve(spec, [seed], durations, current.depth, first_step, start_time)
-    return flow_from_leaves(_leaf_masses(current.leaves, cum[0], _level_slices(current.depth)))
+    leaves = _cascade_leaves(current.leaves, spec, [seed], durations, first_step, start_time)
+    return flow_from_leaves(leaves[0])
 
 
 def compose(current, spec, t, s, seed, steps=1, first_step=1):

@@ -84,13 +84,6 @@ def _root_samples(base, spec, times, seeds, chunk=256):
     return out
 
 
-def _cascaded_leaves(leaves, spec, seeds, start, duration):
-    """``leaves`` cascaded by one fresh step, a row per seed; the state dies on return."""
-    depth = leaves.shape[-1].bit_length() - 1
-    *_, cum = engine._evolve(spec, seeds, [duration], depth, t=start)
-    return engine._leaf_masses(leaves, cum, engine._level_slices(depth))
-
-
 def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_replicas, controls):
     """Markov reports, one per entry of ``controls`` (False: the test, True: its control).
 
@@ -107,10 +100,10 @@ def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_repl
     composed = np.empty((replicas, len(windows)))
     chunk = 256
     for lo in range(0, replicas, chunk):
-        leaves_t = _cascaded_leaves(base.leaves, spec, evolve_seeds[lo : lo + chunk], 0.0, t)
+        leaves_t = engine._cascade_leaves(base.leaves, spec, evolve_seeds[lo : lo + chunk], [t])
         fresh = fresh_seeds[lo : lo + chunk]
         for c, s_used in enumerate(windows):
-            roots = _cascaded_leaves(leaves_t, spec, fresh, t, s_used).sum(axis=1)
+            roots = engine._cascade_leaves(leaves_t, spec, fresh, [s_used], t=t).sum(axis=1)
             composed[lo : lo + chunk, c] = roots
 
     from scipy.stats import ks_2samp  # a slow import, made only where it is used
