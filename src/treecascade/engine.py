@@ -16,6 +16,11 @@ reproduces its snapshots to floating-point accuracy.
 
 Every log-state, a single path's or a replica batch's, advances through
 one evolution loop, ``_evolve``; a single path is a batch of one seed.
+Replica loops evolve their seeds in blocks sized by bytes, not rows
+(``_replica_blocks``): each block's state holds at most ``_REPLICA_BLOCK``
+elements, or one replica past depth 17, so the working set of a batched
+step stays in cache and does not grow with depth.  Rows are independent,
+so every statistic is the same bit for bit whatever the block size.
 
 Weight state is accumulated in log space; masses exponentiate only when a
 snapshot is materialized: leaf log-states are summed root first along each
@@ -64,6 +69,12 @@ __all__ = [
 ]
 
 
+# Largest replica-batch state, in elements, that one ``_evolve`` call of a
+# replica loop owns (2 MiB of float64, about one core's share of L2): 32
+# rows at depth 12, 8 at depth 14.
+_REPLICA_BLOCK = 1 << 18
+
+
 # Largest block of gathered state, in elements, that one batched step of
 # ``CascadePath.vertex_mass_series`` reduces (512 KiB of float64).
 _SERIES_BLOCK = 1 << 16
@@ -79,6 +90,19 @@ _STRIDED_WIDEN_MAX = 1 << 16
 def _flat_size(depth):
     # Vertices at levels 1..depth in level-major order.
     return (1 << (depth + 1)) - 2
+
+
+def _blocks(count, width, budget):
+    """Slices of ``range(count)``, each as many rows of ``width`` elements as
+    ``budget`` elements hold (at least one row)."""
+    rows = max(1, budget // max(width, 1))
+    for lo in range(0, count, rows):
+        yield slice(lo, min(lo + rows, count))
+
+
+def _replica_blocks(count, depth):
+    """Blocks of ``count`` replicas whose depth-``depth`` state fits ``_REPLICA_BLOCK``."""
+    return _blocks(count, _flat_size(depth), _REPLICA_BLOCK)
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,22 +167,31 @@ def _evolve(spec, seeds, durations, depth, first_step=1, t=0.0):
 
     Step j adds, in place, increments keyed (seed, vertex, first_step + j) from time
     ``t`` plus the earlier durations; a zero duration draws nothing.  Yields share one array.
+    Every step draws into one increments buffer, so no step allocates its own.
     """
     state = np.zeros((len(seeds), _flat_size(depth)))
+    increments = np.empty_like(state)
     yield state
     for j, dt in enumerate(map(float, durations)):
         if dt != 0.0:
-            state += wp.log_increments_multi(spec, t, dt, seeds, first_step + j, 0, state.shape[1])
+            state += wp.log_increments_multi(
+                spec, t, dt, seeds, first_step + j, 0, state.shape[1], out=increments
+            )
         t += dt
         yield state
 
 
 def _gather_rows(states, index):
-    """The entries ``index`` of each state, one row per state."""
+    """The entries ``index`` (increasing) of each state, one row per state."""
     block = np.empty((len(states), len(index)))
+    contiguous = len(index) > 0 and index[-1] - index[0] == len(index) - 1
     for row, state in zip(block, states):
-        # every index is in range, so "clip" only skips the check
-        state.take(index, out=row, mode="clip")
+        if contiguous:
+            # one run, as the root's: a slice copy, not a gather
+            row[...] = state[index[0] : index[-1] + 1]
+        else:
+            # every index is in range, so "clip" only skips the check
+            state.take(index, out=row, mode="clip")
     return block
 
 
@@ -341,9 +374,8 @@ class CascadePath:
             for sl in slices:
                 lo = block_slices[-1].stop if block_slices else 0
                 block_slices.append(slice(lo, lo + sl.stop - sl.start))
-            rows = max(1, _SERIES_BLOCK // max(len(gather), 1))
-            for first in range(0, len(later), rows):
-                chunk = later[first : first + rows]
+            for block in _blocks(len(later), len(gather), _SERIES_BLOCK):
+                chunk = later[block]
                 # the block is passed on, not kept, so it is freed as soon
                 # as its leaf masses are made
                 leaves = _leaf_masses(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _evolve, _leaf_masses, _level_slices, _overlap_from_flat
+from .engine import _evolve, _leaf_masses, _level_slices, _overlap_from_flat, _replica_blocks
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -190,14 +190,16 @@ def girsanov_check(base, spec, t_end, vertex, replicas, seed, step=0.01):
     slices = _level_slices(base.depth)
 
     integral = np.zeros(replicas)
+    m_weight = np.empty(replicas)
+    b_vertex = np.empty(replicas)
     dt = t_end / m_steps
-    for j, cum in enumerate(_evolve(spec, seeds, np.full(m_steps, dt), base.depth)):
-        if j < m_steps:
-            levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
-            integral += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
-
-    m_weight = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
-    b_vertex = cum[:, flat_index(vertex)] + 0.5 * t_end
+    for block in _replica_blocks(replicas, base.depth):
+        for j, cum in enumerate(_evolve(spec, seeds[block], np.full(m_steps, dt), base.depth)):
+            if j < m_steps:
+                levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
+                integral[block] += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
+        m_weight[block] = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
+        b_vertex[block] = cum[:, flat_index(vertex)] + 0.5 * t_end
 
     y = m_weight * (b_vertex - integral)
     se = float(y.std(ddof=1) / math.sqrt(replicas))

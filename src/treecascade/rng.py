@@ -171,22 +171,29 @@ def vertex_uniforms(seed, step_index, first, count, lanes):
     return words_to_uniforms(words[skip : skip + count * lanes]).reshape(count, lanes)
 
 
-def vertex_uniforms_multi(seeds, step_index, first, count, lanes):
+def vertex_uniforms_multi(seeds, step_index, first, count, lanes, out=None):
     """Like ``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes).
 
     Each seed is reduced mod 2^64, as ``vertex_uniforms`` reduces its one.
+    ``out``, if given, is a C-contiguous float64 array of that shape that
+    receives the uniforms and is returned.
     """
     b_lo, n_blocks, skip = _word_span(first, count, lanes)
+    shape = (len(seeds), count, lanes)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
     if count == 0:
-        return np.empty((len(seeds), 0, lanes), dtype=np.float64)
+        return out
     # Each seed's words become uniforms while they are in cache, straight
     # into the one output array.
     start = _start_counter((b_lo, 0, step_index, PURPOSE_INCREMENT))
-    out = np.empty((len(seeds), count * lanes))
+    rows = out.reshape(len(seeds), count * lanes)
     for r, seed in enumerate(seeds):
         words = _raw_words(start, n_blocks, (seed, 0))
-        words_to_uniforms(words[skip : skip + count * lanes], out=out[r])
-    return out.reshape(len(seeds), count, lanes)
+        words_to_uniforms(words[skip : skip + count * lanes], out=rows[r])
+    return out
 
 
 def derive_seed(seed, *indices):

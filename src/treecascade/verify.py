@@ -10,6 +10,13 @@ come out Fail; a suite therefore records the expected verdict per entry
 and succeeds only when every actual verdict matches it.  A test whose
 replica budget is below its declared power floor reports Inconclusive
 rather than a verdict it cannot support.
+
+The replica-batched tests (martingale means, the Markov marginal) evolve
+their replicas in blocks of at most ``engine._REPLICA_BLOCK`` state
+elements (``engine._replica_blocks``): the state a step works on stays
+within 2 MiB whatever the replica count and depth (past depth 17 one
+replica is a block).  Rows are independent, so every statistic is the
+same bit for bit whatever the block size.
 """
 
 import hashlib
@@ -70,17 +77,17 @@ def _verdict(ok, replicas, min_replicas):
     return PASS if ok else FAIL
 
 
-def _root_samples(base, spec, times, seeds, chunk=256):
+def _root_samples(base, spec, times, seeds):
     """Root masses at the given times for one path per seed; (R, T) array."""
     durations = np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
     slices = engine._level_slices(base.depth)
     out = np.empty((len(seeds), len(durations)))
-    for lo in range(0, len(seeds), chunk):
-        states = engine._evolve(spec, seeds[lo : lo + chunk], durations, base.depth)
+    for block in engine._replica_blocks(len(seeds), base.depth):
+        states = engine._evolve(spec, seeds[block], durations, base.depth)
         next(states)  # the zero state at time 0
-        # a comprehension, so no name holds this chunk's state into the next
+        # a comprehension, so no name holds this block's state into the next
         roots = [engine._leaf_masses(base.leaves, cum, slices).sum(axis=1) for cum in states]
-        out[lo : lo + chunk] = np.column_stack(roots)
+        out[block] = np.column_stack(roots)
     return out
 
 
@@ -98,13 +105,11 @@ def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_repl
     evolve_seeds, fresh_seeds = (derive_seeds(derive_seed(seed, k), replicas) for k in (1, 2))
     windows = [s / 2.0 if control else s for control in controls]
     composed = np.empty((replicas, len(windows)))
-    chunk = 256
-    for lo in range(0, replicas, chunk):
-        leaves_t = engine._cascade_leaves(base.leaves, spec, evolve_seeds[lo : lo + chunk], [t])
-        fresh = fresh_seeds[lo : lo + chunk]
+    for block in engine._replica_blocks(replicas, base.depth):
+        leaves_t = engine._cascade_leaves(base.leaves, spec, evolve_seeds[block], [t])
         for c, s_used in enumerate(windows):
-            roots = engine._cascade_leaves(leaves_t, spec, fresh, [s_used], t=t).sum(axis=1)
-            composed[lo : lo + chunk, c] = roots
+            roots = engine._cascade_leaves(leaves_t, spec, fresh_seeds[block], [s_used], t=t)
+            composed[block, c] = roots.sum(axis=1)
 
     from scipy.stats import ks_2samp  # a slow import, made only where it is used
 
@@ -178,6 +183,8 @@ def _martingale_reports(
     if any(controls) and spec.kind != wp.GAUSSIAN:
         raise ValueError("uncompensated control is defined for the continuous kind")
     times = tuple(float(t) for t in times)
+    if not times or times[0] < 0 or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be nonempty, nonnegative and nondecreasing, got {times}")
     samples = _root_samples(base, spec, times, derive_seeds(seed, replicas))
     reports = []
     for uncompensated in controls:

@@ -224,15 +224,33 @@ def log_increments(spec, t, duration, seed, step_index, first_flat, count):
     return _log_increments_from_uniforms(spec, duration, u)
 
 
-def log_increments_multi(spec, t, duration, seeds, step_index, first_flat, count):
-    """Batched ``log_increments`` over per-replica seeds; shape (len(seeds), count)."""
+def log_increments_multi(spec, t, duration, seeds, step_index, first_flat, count, out=None):
+    """Batched ``log_increments`` over per-replica seeds; shape (len(seeds), count).
+
+    ``out``, if given, is a C-contiguous float64 array of that shape that
+    receives the increments and is returned; Gaussian uniforms are drawn
+    straight into it.
+    """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
+    shape = (len(seeds), count)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
     if duration == 0.0:
-        return np.zeros((len(seeds), count))
-    u = rng.vertex_uniforms_multi(seeds, step_index, first_flat, count, _lanes(spec))
-    flat = u.reshape(-1, _lanes(spec))
-    return _log_increments_from_uniforms(spec, duration, flat).reshape(len(seeds), count)
+        out.fill(0.0)
+        return out
+    lanes = _lanes(spec)
+    # one lane (Gaussian): the uniforms are drawn into ``out`` and become
+    # the increments there, in place
+    u = rng.vertex_uniforms_multi(
+        seeds, step_index, first_flat, count, lanes, out=out[..., None] if lanes == 1 else None
+    )
+    x = _log_increments_from_uniforms(spec, duration, u.reshape(-1, lanes))
+    if lanes != 1:
+        out[...] = x.reshape(shape)
+    return out
 
 
 def sample_increment(spec, t, s, key):

@@ -195,6 +195,13 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             path.vertex_mass_series([tree.Vertex(base.depth + 1, 0)])
 
+    def test_gather_rows_matches_take(self):
+        states = [np.random.default_rng(k).random(30) for k in range(3)]
+        # a contiguous run (the root's, copied as a slice), a gather and nothing
+        for index in (np.arange(0, 30), np.arange(4, 9), np.array([1, 2, 7, 20]), np.arange(0)):
+            block = engine._gather_rows(states, index)
+            assert block.tobytes() == np.stack([s[index] for s in states]).tobytes()
+
     @pytest.mark.parametrize("depth", [0, 1, 6, 14])
     def test_materialized_layout_matches_repeat_reference(self, depth):
         # reference: log X grown by np.repeat, leaf masses, then numpy's sum

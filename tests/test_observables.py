@@ -172,3 +172,16 @@ class TestGirsanov:
         base = tree.uniform_flow(2)
         report = obs.girsanov_check(base, wp.gaussian_spec(), 0.0, tree.Vertex(1, 0), 10, 0)
         assert report.statistic == 0.0
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_girsanov_one_row_blocks_match_default(monkeypatch, depth):
+    def report():
+        r = obs.girsanov_check(
+            tree.uniform_flow(depth), wp.gaussian_spec(), 0.2, tree.Vertex(depth, 1), 30, 4, step=0.05
+        )
+        return [float(x).hex() for x in (r.tilted_mean, r.predicted_mean, r.statistic, r.se)]
+
+    default = report()
+    monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
+    assert report() == default

@@ -136,6 +136,15 @@ def test_vertex_uniforms_multi_matches_single():
         assert np.array_equal(multi[i], rng.vertex_uniforms(int(s), 4, 0, 10, 2))
 
 
+def test_vertex_uniforms_multi_into_out():
+    seeds = np.array([3, 17], dtype=np.uint64)
+    out = np.full((2, 10, 2), np.nan)
+    assert rng.vertex_uniforms_multi(seeds, 4, 5, 10, 2, out=out) is out
+    assert np.array_equal(out, rng.vertex_uniforms_multi(seeds, 4, 5, 10, 2))
+    with pytest.raises(ValueError, match="out must be"):
+        rng.vertex_uniforms_multi(seeds, 4, 5, 10, 2, out=np.empty((2, 10, 1)))
+
+
 def test_derive_seed_frozen_values():
     assert rng.derive_seed(0, 0) == 850825565651668785
     assert rng.derive_seed(42, 7) == 10097173069124897316

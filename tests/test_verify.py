@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from treecascade import tree, verify
+from treecascade import engine, observables, tree, verify
 from treecascade import weights as wp
 from treecascade.rng import derive_seeds
 
@@ -193,3 +194,68 @@ def test_martingale_pair_matches_separate_calls():
     assert [r.verdict for r in pair] == [verify.PASS, verify.FAIL]
     with pytest.raises(ValueError):
         verify.martingale_pair(spec=wp.compound_poisson_spec(), **kw)
+
+
+@pytest.mark.parametrize("times", [(), (0.3, 0.1), (-0.1, 0.2)])
+@pytest.mark.parametrize("entry", [verify.test_martingale, verify.martingale_pair])
+def test_martingale_rejects_bad_times(entry, times):
+    with pytest.raises(ValueError, match="times"):
+        entry(times=times, depth=3, replicas=10)
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+class TestReplicaBlocks:
+    """Replica loops evolve seeds in blocks of at most ``_REPLICA_BLOCK`` state elements."""
+
+    def test_rows_per_block(self):
+        assert engine._REPLICA_BLOCK // engine._flat_size(12) == 32
+        assert engine._REPLICA_BLOCK // engine._flat_size(14) == 8
+        for depth, count in [(0, 5), (3, 20000), (12, 100), (14, 17), (18, 3)]:
+            blocks = list(engine._replica_blocks(count, depth))
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == count
+            rows = {b.stop - b.start for b in blocks[:-1]}
+            assert rows <= {max(1, engine._REPLICA_BLOCK // max(engine._flat_size(depth), 1))}
+        assert list(engine._replica_blocks(0, 5)) == []
+
+    @pytest.mark.parametrize("base", [tree.uniform_flow(0), tree.uniform_flow(5)], ids=["depth0", "depth5"])
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_one_row_blocks_match_default(self, monkeypatch, base, spec):
+        def outputs():
+            roots = verify._root_samples(base, spec, (0.1, 0.1, 0.3), derive_seeds(11, 40))
+            pair = verify.markov_marginal_pair(base=base, spec=spec, replicas=40, seed=3)
+            return _hex(roots) + _hex([r.statistic for r in pair])
+
+        default = outputs()
+        monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
+        assert outputs() == default
+
+    def test_evolve_never_exceeds_the_block(self, monkeypatch):
+        seen = []
+        evolve = engine._evolve
+
+        def wrapped(spec, seeds, durations, depth, *args, **kwargs):
+            seen.append((depth, len(seeds) * engine._flat_size(depth)))
+            return evolve(spec, seeds, durations, depth, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_evolve", wrapped)
+        monkeypatch.setattr(observables, "_evolve", wrapped)
+        # the default block: 32 depth-12 replicas, then the other 8
+        verify._root_samples(tree.uniform_flow(12), wp.gaussian_spec(), (0.2,), derive_seeds(1, 40))
+        assert seen == [(12, 32 * engine._flat_size(12)), (12, 8 * engine._flat_size(12))]
+        assert seen[0][1] <= engine._REPLICA_BLOCK
+        seen.clear()
+        monkeypatch.setattr(engine, "_REPLICA_BLOCK", 100)
+        verify._root_samples(tree.uniform_flow(4), wp.gaussian_spec(), (0.2,), derive_seeds(1, 50))
+        verify.markov_marginal_pair(depth=4, replicas=50, seed=1)
+        observables.girsanov_check(
+            tree.uniform_flow(4), wp.gaussian_spec(), 0.1, tree.Vertex(2, 1), 50, 1, step=0.05
+        )
+        # a depth-6 replica (126 elements) exceeds the block alone: one a block
+        verify._root_samples(tree.uniform_flow(6), wp.gaussian_spec(), (0.2,), derive_seeds(1, 5))
+        assert {depth for depth, _ in seen} == {4, 6}
+        assert max(size for depth, size in seen if depth == 4) <= 100
+        assert max(size for depth, size in seen if depth == 6) == engine._flat_size(6)

@@ -183,6 +183,18 @@ class TestIncrements:
             wp.log_increments(wp.gaussian_spec(), 0.0, -0.1, 1, 1, 0, 4)
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    @pytest.mark.parametrize("duration", [0.0, 0.2])
+    def test_multi_into_out(self, spec, duration):
+        seeds = np.array([11, 99, 5], dtype=np.uint64)
+        out = np.full((3, 30), np.nan)
+        got = wp.log_increments_multi(spec, 0.0, duration, seeds, 3, 2, 30, out=out)
+        assert got is out
+        assert np.array_equal(out, wp.log_increments_multi(spec, 0.0, duration, seeds, 3, 2, 30))
+        for bad in (np.empty((3, 31)), np.empty((30, 3)).T):
+            with pytest.raises(ValueError, match="out must be"):
+                wp.log_increments_multi(spec, 0.0, duration, seeds, 3, 2, 30, out=bad)
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_multi_rejects_negative_duration(self, spec):
         seeds = np.array([1], dtype=np.uint64)
         with pytest.raises(ValueError, match="duration must be nonnegative"):
