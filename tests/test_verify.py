@@ -254,7 +254,7 @@ class TestReplicaBlocks:
         observables.girsanov_check(
             tree.uniform_flow(4), wp.gaussian_spec(), 0.1, tree.Vertex(2, 1), 50, 1, step=0.05
         )
-        # a depth-6 replica (126 elements) exceeds the block alone: one a block
+        # a depth-6 replica (126 elements) is larger than the block: each is a block of its own
         verify._root_samples(tree.uniform_flow(6), wp.gaussian_spec(), (0.2,), derive_seeds(1, 5))
         assert {depth for depth, _ in seen} == {4, 6}
         assert max(size for depth, size in seen if depth == 4) <= 100
