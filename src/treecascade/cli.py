@@ -7,9 +7,12 @@ between saved flows, or the Hölder slope of simulated paths), ``kpz``
 (dimension ODE solutions and box-counting estimates), and ``verify``
 (the statistical test suite).
 
-Every numeric input can come from a JSON config file (``--config``);
-explicit flags override file values, and ``--dump-config`` prints the
-merged effective config without running.  Outputs are CSV (RFC 4180,
+Each flag is one row of a table (flag, default, help, argparse extras),
+one tuple of rows per subcommand; the weight-law rows are shared.  The
+parser and each subcommand's config keys and defaults are built from it.
+Every input can come from a JSON config file (``--config``); explicit
+flags override file values, and ``--dump-config`` prints the merged
+effective config without running.  Outputs are CSV (RFC 4180,
 CRLF line endings, round-trip float formatting) or JSON with sorted
 keys, so identical (argv, seed) runs produce byte-identical files at
 any ``--threads`` setting.
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, kpz, observables, regularity, transport, verify
+from . import engine, kpz, regularity, transport, verify
 from . import weights as wp
 from .parallel import parallel_map, thread_count
 from .rng import derive_seeds
@@ -35,92 +38,173 @@ __all__ = ["run", "main"]
 
 _REQUIRED = object()
 
-_WEIGHT_DEFAULTS = {"kind": wp.GAUSSIAN, "rate": None, "jump_mean": None, "jump_sd": None}
 
-_DEFAULTS = {
-    "simulate": {
-        "measure": "theta",
-        "depth": None,
-        "t_end": _REQUIRED,
-        "step": 0.01,
-        "replicas": 1,
-        "seed": 0,
-        "output": None,
-        "track_vertex": None,
-        "vertex_output": None,
-        "save_flow": None,
-        **_WEIGHT_DEFAULTS,
-    },
-    "analyze": {
-        "measure": "theta",
-        "t": _REQUIRED,
-        "h_min": 0.0,
-        "h_max": 4.0,
-        "h_count": 17,
-        "max_depth": None,
-        "output": None,
-        "curves": None,
-        **_WEIGHT_DEFAULTS,
-    },
-    "transport": {
-        "mode": "distance",
-        "mu": None,
-        "nu": None,
-        "method": "exact",
-        "normalize": False,
-        "depth": 10,
-        "t_end": 0.5,
-        "step": 2.0**-7,
-        "replicas": 6,
-        "pair_budget": 32,
-        "seed": 0,
-        "output": None,
-        **_WEIGHT_DEFAULTS,
-    },
-    "kpz": {
-        "mode": "ode",
-        "d0": None,
-        "t_end": None,
-        "step": 1e-3,
-        "t": 0.0,
-        "depth": 12,
-        "seed": 0,
-        "ray_set": "even_free",
-        "scale_exponents": "4,6,8,10,12",
-        "output": None,
-        **_WEIGHT_DEFAULTS,
-    },
-    "verify": {"suite": "default", "seed": 42, "output": None},
+def _flag(flag, default, help, **argparse_extras):
+    """One row of the flag table.  Its config key is argparse's dest: the
+    flag without its dashes, ``-`` turned into ``_``."""
+    return flag, default, help, argparse_extras
+
+
+def _key(flag):
+    return flag[2:].replace("-", "_")
+
+
+# Flags of every subcommand that steer the run, not its results, so they
+# have no config key.
+_COMMON = (
+    _flag("--config", None, "JSON config file; flags override its values"),
+    _flag(
+        "--dump-config",
+        None,
+        "print the merged effective config and exit without running",
+        action="store_true",
+    ),
+    _flag(
+        "--threads",
+        None,
+        "worker threads for replica loops (default: CASCADE_THREADS or 1); never changes outputs",
+        type=int,
+    ),
+)
+
+# The weight law; a jump field left at None takes its default from
+# ``weights.compound_poisson_spec``.
+_JUMP_LAW = (
+    _flag("--kind", wp.GAUSSIAN, "weight process kind (default gaussian)", choices=wp.KINDS),
+    _flag("--rate", None, "jump rate per unit model time (compound_poisson only)", type=float),
+    _flag("--jump-mean", None, "mean of the normal jump law (compound_poisson only)", type=float),
+    _flag(
+        "--jump-sd",
+        None,
+        "standard deviation of the normal jump law (compound_poisson only)",
+        type=float,
+    ),
+)
+
+_SIMULATE = (
+    _flag("--measure", "theta", "'theta' for the uniform flow, or a saved flow file (.json/.csv)"),
+    _flag(
+        "--depth",
+        None,
+        "truncation depth in tree levels (required for theta; truncates a loaded flow)",
+        type=int,
+    ),
+    _flag("--t-end", _REQUIRED, "final time (model time units)", type=float),
+    _flag("--step", 0.01, "grid step (model time units)", type=float),
+    _flag("--replicas", 1, "independent path count", type=int),
+    _flag("--seed", 0, "master seed", type=int),
+    _flag("--output", None, "root-mass CSV path (time,replica,root_mass); stdout when omitted"),
+    _flag(
+        "--track-vertex",
+        None,
+        "also record this vertex's mass series (repeatable)",
+        action="append",
+        metavar="DEPTH:BITS",
+    ),
+    _flag("--vertex-output", None, "vertex CSV path (time,replica,vertex_depth,path_bits,mass)"),
+    _flag(
+        "--save-flow", None, "write the final flow to this file (.json/.csv); requires --replicas 1"
+    ),
+    *_JUMP_LAW,
+)
+
+_ANALYZE = (
+    _flag("--measure", "theta", "'theta' (analytic) or a saved flow file (.json/.csv)"),
+    _flag("--t", _REQUIRED, "evolution time (model time units)", type=float),
+    _flag("--h-min", 0.0, "smallest moment exponent sampled", type=float),
+    _flag("--h-max", 4.0, "largest moment exponent sampled", type=float),
+    _flag("--h-count", 17, "number of exponent samples", type=int),
+    _flag("--max-depth", None, "cap the fit depth in tree levels (empirical flows only)", type=int),
+    _flag("--output", None, "report JSON path; stdout when omitted"),
+    _flag("--curves", None, "optional CSV path for (h, pressure, alpha)"),
+    *_JUMP_LAW,
+)
+
+_TRANSPORT = (
+    _flag(
+        "--mode",
+        "distance",
+        "distance: compare two saved flows; holder: fit the time-continuity slope",
+        choices=("distance", "holder"),
+    ),
+    _flag("--mu", None, "first flow file (distance mode)"),
+    _flag("--nu", None, "second flow file (distance mode)"),
+    _flag("--method", "exact", "distance computation route", choices=("exact", "lp", "coupling")),
+    _flag(
+        "--normalize",
+        False,
+        "rescale both flows to unit total mass before comparing",
+        action="store_true",
+    ),
+    _flag("--depth", 10, "tree depth in levels (holder mode)", type=int),
+    _flag("--t-end", 0.5, "path duration (model time units, holder mode)", type=float),
+    _flag("--step", 2.0**-7, "grid step (model time units, holder mode)", type=float),
+    _flag("--replicas", 6, "path count (holder mode)", type=int),
+    _flag("--pair-budget", 32, "snapshot pairs per lag per path (holder mode)", type=int),
+    _flag("--seed", 0, "master seed (holder mode)", type=int),
+    _flag("--output", None, "result JSON path; stdout when omitted"),
+    *_JUMP_LAW,
+)
+
+_KPZ = (
+    _flag(
+        "--mode",
+        "ode",
+        "ode: solve the dimension flow (default); box: estimate an image dimension",
+        choices=("ode", "box"),
+    ),
+    _flag("--d0", None, "initial dimension in (0, 1) (ode mode)", type=float),
+    _flag("--t-end", None, "final time (model time units, ode mode)", type=float),
+    _flag("--step", 1e-3, "solver step (model time units)", type=float),
+    _flag(
+        "--t", 0.0, "evolution time of the sampled flow (model time units, box mode)", type=float
+    ),
+    _flag("--depth", 12, "tree depth in levels (box mode)", type=int),
+    _flag("--seed", 0, "master seed (box mode)", type=int),
+    _flag(
+        "--ray-set",
+        "even_free",
+        "structured ray set whose image is measured (box mode)",
+        choices=("even_free", "full"),
+    ),
+    _flag(
+        "--scale-exponents",
+        "4,6,8,10,12",
+        "comma-separated m values; boxes have side 2^-m (box mode)",
+    ),
+    _flag("--output", None, "CSV (ode) / JSON (box) path; stdout when omitted"),
+    *_JUMP_LAW,
+)
+
+_VERIFY = (
+    _flag("--suite", "default", "which suite configuration to run", choices=("default", "quick")),
+    _flag("--seed", 42, "suite master seed", type=int),
+    _flag("--output", None, "report JSON path; stdout lines either way"),
+)
+
+# Per subcommand: its help line and its flags, in --help order.
+_COMMANDS = {
+    "simulate": ("evolve a flow and write mass series as CSV", _SIMULATE),
+    "analyze": ("pressure curves and regularity classification", _ANALYZE),
+    "transport": ("Wasserstein distances and Hölder slope fits", _TRANSPORT),
+    "kpz": ("dimension ODE solutions and box-counting estimates", _KPZ),
+    "verify": ("run the statistical test suite", _VERIFY),
 }
 
-_META_KEYS = ("command", "config", "dump_config", "threads")
+# Per subcommand, each config key with its default.
+_DEFAULTS = {
+    cmd: {_key(flag): default for flag, default, _, _ in rows}
+    for cmd, (_, rows) in _COMMANDS.items()
+}
+_META_KEYS = ("command", *(_key(flag) for flag, *_ in _COMMON))
+_JUMP_FIELDS = tuple(_key(flag) for flag, *_ in _JUMP_LAW[1:])
 
 
-def _add_weight_flags(p):
-    p.add_argument(
-        "--kind",
-        choices=wp.KINDS,
-        default=argparse.SUPPRESS,
-        help="weight process kind (default gaussian)",
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="jump rate per unit model time (compound_poisson only)",
-    )
-    p.add_argument(
-        "--jump-mean",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="mean of the normal jump law (compound_poisson only)",
-    )
-    p.add_argument(
-        "--jump-sd",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="standard deviation of the normal jump law (compound_poisson only)",
-    )
+def _add_flags(parser, rows):
+    # Every default is SUPPRESS, so the namespace holds only the flags given
+    # and _effective_config can layer them over the config file.
+    for flag, _, help, extras in rows:
+        parser.add_argument(flag, default=argparse.SUPPRESS, help=help, **extras)
 
 
 @functools.cache
@@ -128,222 +212,14 @@ def _build_parser():
     # Built once per process: parsing leaves the parser unchanged, and
     # building it costs more than most of what a small run does.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS, help="JSON config file; flags override its values"
-    )
-    common.add_argument(
-        "--dump-config",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="print the merged effective config and exit without running",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker threads for replica loops (default: CASCADE_THREADS or 1); never changes outputs",
-    )
-
+    _add_flags(common, _COMMON)
     parser = argparse.ArgumentParser(
         prog="treecascade",
         description="Simulate and analyze cascade measures evolving on the binary-tree boundary.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "simulate", parents=[common], help="evolve a flow and write mass series as CSV"
-    )
-    p.add_argument(
-        "--measure",
-        default=argparse.SUPPRESS,
-        help="'theta' for the uniform flow, or a saved flow file (.json/.csv)",
-    )
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="truncation depth in tree levels (required for theta; truncates a loaded flow)",
-    )
-    p.add_argument(
-        "--t-end", type=float, default=argparse.SUPPRESS, help="final time (model time units)"
-    )
-    p.add_argument(
-        "--step", type=float, default=argparse.SUPPRESS, help="grid step (model time units)"
-    )
-    p.add_argument(
-        "--replicas", type=int, default=argparse.SUPPRESS, help="independent path count"
-    )
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed")
-    p.add_argument(
-        "--output",
-        default=argparse.SUPPRESS,
-        help="root-mass CSV path (time,replica,root_mass); stdout when omitted",
-    )
-    p.add_argument(
-        "--track-vertex",
-        action="append",
-        default=argparse.SUPPRESS,
-        metavar="DEPTH:BITS",
-        help="also record this vertex's mass series (repeatable)",
-    )
-    p.add_argument(
-        "--vertex-output",
-        default=argparse.SUPPRESS,
-        help="vertex CSV path (time,replica,vertex_depth,path_bits,mass)",
-    )
-    p.add_argument(
-        "--save-flow",
-        default=argparse.SUPPRESS,
-        help="write the final flow to this file (.json/.csv); requires --replicas 1",
-    )
-    _add_weight_flags(p)
-
-    p = sub.add_parser(
-        "analyze", parents=[common], help="pressure curves and regularity classification"
-    )
-    p.add_argument(
-        "--measure",
-        default=argparse.SUPPRESS,
-        help="'theta' (analytic) or a saved flow file (.json/.csv)",
-    )
-    p.add_argument(
-        "--t", type=float, default=argparse.SUPPRESS, help="evolution time (model time units)"
-    )
-    p.add_argument(
-        "--h-min", type=float, default=argparse.SUPPRESS, help="smallest moment exponent sampled"
-    )
-    p.add_argument(
-        "--h-max", type=float, default=argparse.SUPPRESS, help="largest moment exponent sampled"
-    )
-    p.add_argument(
-        "--h-count", type=int, default=argparse.SUPPRESS, help="number of exponent samples"
-    )
-    p.add_argument(
-        "--max-depth",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="cap the fit depth in tree levels (empirical flows only)",
-    )
-    p.add_argument(
-        "--output", default=argparse.SUPPRESS, help="report JSON path; stdout when omitted"
-    )
-    p.add_argument(
-        "--curves", default=argparse.SUPPRESS, help="optional CSV path for (h, pressure, alpha)"
-    )
-    _add_weight_flags(p)
-
-    p = sub.add_parser(
-        "transport", parents=[common], help="Wasserstein distances and Hölder slope fits"
-    )
-    p.add_argument(
-        "--mode",
-        choices=("distance", "holder"),
-        default=argparse.SUPPRESS,
-        help="distance: compare two saved flows; holder: fit the time-continuity slope",
-    )
-    p.add_argument("--mu", default=argparse.SUPPRESS, help="first flow file (distance mode)")
-    p.add_argument("--nu", default=argparse.SUPPRESS, help="second flow file (distance mode)")
-    p.add_argument(
-        "--method",
-        choices=("exact", "lp", "coupling"),
-        default=argparse.SUPPRESS,
-        help="distance computation route",
-    )
-    p.add_argument(
-        "--normalize",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="rescale both flows to unit total mass before comparing",
-    )
-    p.add_argument(
-        "--depth", type=int, default=argparse.SUPPRESS, help="tree depth in levels (holder mode)"
-    )
-    p.add_argument(
-        "--t-end",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="path duration (model time units, holder mode)",
-    )
-    p.add_argument(
-        "--step",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="grid step (model time units, holder mode)",
-    )
-    p.add_argument(
-        "--replicas", type=int, default=argparse.SUPPRESS, help="path count (holder mode)"
-    )
-    p.add_argument(
-        "--pair-budget",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="snapshot pairs per lag per path (holder mode)",
-    )
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed (holder mode)")
-    p.add_argument(
-        "--output", default=argparse.SUPPRESS, help="result JSON path; stdout when omitted"
-    )
-    _add_weight_flags(p)
-
-    p = sub.add_parser(
-        "kpz", parents=[common], help="dimension ODE solutions and box-counting estimates"
-    )
-    p.add_argument(
-        "--mode",
-        choices=("ode", "box"),
-        default=argparse.SUPPRESS,
-        help="ode: solve the dimension flow (default); box: estimate an image dimension",
-    )
-    p.add_argument(
-        "--d0", type=float, default=argparse.SUPPRESS, help="initial dimension in (0, 1) (ode mode)"
-    )
-    p.add_argument(
-        "--t-end",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="final time (model time units, ode mode)",
-    )
-    p.add_argument(
-        "--step", type=float, default=argparse.SUPPRESS, help="solver step (model time units)"
-    )
-    p.add_argument(
-        "--t",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="evolution time of the sampled flow (model time units, box mode)",
-    )
-    p.add_argument(
-        "--depth", type=int, default=argparse.SUPPRESS, help="tree depth in levels (box mode)"
-    )
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed (box mode)")
-    p.add_argument(
-        "--ray-set",
-        choices=("even_free", "full"),
-        default=argparse.SUPPRESS,
-        help="structured ray set whose image is measured (box mode)",
-    )
-    p.add_argument(
-        "--scale-exponents",
-        default=argparse.SUPPRESS,
-        help="comma-separated m values; boxes have side 2^-m (box mode)",
-    )
-    p.add_argument(
-        "--output", default=argparse.SUPPRESS, help="CSV (ode) / JSON (box) path; stdout when omitted"
-    )
-    _add_weight_flags(p)
-
-    p = sub.add_parser("verify", parents=[common], help="run the statistical test suite")
-    p.add_argument(
-        "--suite",
-        choices=("default", "quick"),
-        default=argparse.SUPPRESS,
-        help="which suite configuration to run",
-    )
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="suite master seed")
-    p.add_argument(
-        "--output", default=argparse.SUPPRESS, help="report JSON path; stdout lines either way"
-    )
-
+    for cmd, (help, rows) in _COMMANDS.items():
+        _add_flags(sub.add_parser(cmd, parents=[common], help=help), rows)
     return parser
 
 
@@ -371,18 +247,12 @@ def _effective_config(ns, parser):
 
 
 def _spec_from_config(cfg, parser):
-    kind = cfg["kind"]
-    jump_fields = {k: cfg.get(k) for k in ("rate", "jump_mean", "jump_sd")}
-    if kind == wp.GAUSSIAN:
-        given = [k for k, v in jump_fields.items() if v is not None]
+    given = [k for k in _JUMP_FIELDS if cfg[k] is not None]
+    if cfg["kind"] == wp.GAUSSIAN:
         if given:
             parser.error(f"{sorted(given)} only apply to --kind compound_poisson")
         return wp.gaussian_spec()
-    return wp.compound_poisson_spec(
-        rate=1.0 if jump_fields["rate"] is None else float(jump_fields["rate"]),
-        jump_mean=0.0 if jump_fields["jump_mean"] is None else float(jump_fields["jump_mean"]),
-        jump_sd=0.3 if jump_fields["jump_sd"] is None else float(jump_fields["jump_sd"]),
-    )
+    return wp.compound_poisson_spec(**{k: float(cfg[k]) for k in given})
 
 
 def _flow_from_config(cfg, parser):

@@ -162,12 +162,13 @@ def _mass_levels(base, cum):
     return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
-def _evolve(spec, seeds, durations, depth, first_step=1, t=0.0):
+def _evolve(spec, seeds, durations, depth, first_step=1):
     """Yield the (len(seeds), size) log-state, zero at first, and after each duration.
 
-    Step j adds, in place, increments keyed (seed, vertex, first_step + j) from time
-    ``t`` plus the earlier durations; a zero duration draws nothing.  Yields share one array.
-    Every step draws into one increments buffer, so no step allocates its own.
+    Step j adds, in place, increments keyed (seed, vertex, first_step + j); a zero
+    duration draws nothing.  Yields share one array.  Every step draws into one
+    increments buffer and, for compound Poisson, one lane buffer, so no step
+    allocates its own.
     """
     # One allocation for the state and the buffer: as two, glibc handed
     # each replica block's pair back to the OS on release and the next
@@ -175,13 +176,13 @@ def _evolve(spec, seeds, durations, depth, first_step=1, t=0.0):
     # 500-replica verify entry in 32-row blocks, against at most 2 500).
     state, increments = np.empty((2, len(seeds), _flat_size(depth)))
     state.fill(0.0)
+    lanes = wp._lane_buffer(spec, state.shape)
     yield state
     for j, dt in enumerate(map(float, durations)):
         if dt != 0.0:
             state += wp.log_increments_multi(
-                spec, t, dt, seeds, first_step + j, 0, state.shape[1], out=increments
+                spec, dt, seeds, first_step + j, 0, state.shape[1], out=increments, _lanes=lanes
             )
-        t += dt
         yield state
 
 
@@ -461,17 +462,17 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
     )
 
 
-def _cascade_leaves(leaves, spec, seeds, durations, first_step=1, t=0.0):
+def _cascade_leaves(leaves, spec, seeds, durations, first_step=1):
     """``leaves`` cascaded by fresh increments, a row per seed; the state dies on return."""
     depth = leaves.shape[-1].bit_length() - 1
-    *_, cum = _evolve(spec, seeds, durations, depth, first_step, t)
+    *_, cum = _evolve(spec, seeds, durations, depth, first_step)
     return _leaf_masses(leaves, cum, _level_slices(depth))
 
 
-def _compose_with_increments(current, spec, start_time, durations, seed, first_step):
+def _compose_with_increments(current, spec, durations, seed, first_step):
     if current.depth == 0:
         return current
-    leaves = _cascade_leaves(current.leaves, spec, [seed], durations, first_step, start_time)
+    leaves = _cascade_leaves(current.leaves, spec, [seed], durations, first_step)
     return flow_from_leaves(leaves[0])
 
 
@@ -483,7 +484,9 @@ def compose(current, spec, t, s, seed, steps=1, first_step=1):
     durations of a simulated path this replays that path's own increments;
     ``compose_from_path`` wraps that alignment.
 
-    Returns the composed Flow; ``s = 0`` returns ``current`` unchanged.
+    Returns the composed Flow; ``s = 0`` returns ``current`` unchanged.  The
+    built-in kinds have stationary increments, so the start time ``t`` does
+    not enter the draws.
     """
     if s < 0:
         raise ValueError("duration must be nonnegative")
@@ -492,7 +495,7 @@ def compose(current, spec, t, s, seed, steps=1, first_step=1):
     if s == 0.0:
         return current
     durations = np.full(steps, s / steps)
-    return _compose_with_increments(current, spec, t, durations, seed, first_step)
+    return _compose_with_increments(current, spec, durations, seed, first_step)
 
 
 def compose_from_path(path, i, j):
@@ -506,9 +509,7 @@ def compose_from_path(path, i, j):
         raise ValueError("need snapshot index i at or before grid index j")
     current = path.snapshot(i)
     durations = np.diff(path.grid[gi : j + 1])
-    return _compose_with_increments(
-        current, path.spec, float(path.grid[gi]), durations, path.seed, gi + 1
-    )
+    return _compose_with_increments(current, path.spec, durations, path.seed, gi + 1)
 
 
 @dataclass(frozen=True)

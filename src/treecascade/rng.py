@@ -14,8 +14,9 @@ Consequences that the rest of the package relies on:
 
 Blocks come from numpy's C implementation, ``numpy.random.Philox``: each
 thread keeps one generator and sets it to the wanted counter and key before
-every draw.  ``philox4x64`` is a pure-python reference the tests check it
-against.
+every draw.  ``vertex_uniforms_multi`` is the one path from blocks to
+uniforms; ``vertex_uniforms`` is its one-seed row.  ``philox4x64`` is a
+pure-python reference the tests check the blocks against.
 """
 
 import threading
@@ -121,13 +122,16 @@ def words_to_uniforms(words, out=None):
     words' shape that receives the uniforms.
     """
     if out is None:
-        u = (words >> np.uint64(11)).astype(np.float64)
-    else:
-        u = out
-        u[...] = words >> np.uint64(11)
-    u += 0.5
-    u *= 2.0**-53
-    return np.minimum(u, _BELOW_ONE, out=u)
+        out = np.empty(words.shape)
+    return _top_bits_to_uniforms(words >> np.uint64(11), out)
+
+
+def _top_bits_to_uniforms(top, out):
+    # ``top`` holds the top 53 bits of each word
+    out[...] = top
+    out += 0.5
+    out *= 2.0**-53
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
 def _word_span(first, count, lanes):
@@ -141,7 +145,7 @@ def _word_span(first, count, lanes):
 
 
 def vertex_uniforms(seed, step_index, first, count, lanes):
-    """Uniform draws addressed by flat vertex index.
+    """Uniform draws addressed by flat vertex index: one row of ``vertex_uniforms_multi``.
 
     Item ``f`` (``first <= f < first + count``) receives ``lanes``
     consecutive words of the keyed Philox stream, starting at word
@@ -151,7 +155,7 @@ def vertex_uniforms(seed, step_index, first, count, lanes):
     Parameters
     ----------
     seed : int
-        Key word; use a per-path seed.
+        Key word, reduced mod 2^64; use a per-path seed.
     step_index : int
         Time-grid step the draw belongs to (counter word).
     first, count : int
@@ -163,18 +167,13 @@ def vertex_uniforms(seed, step_index, first, count, lanes):
     -------
     ndarray, shape (count, lanes)
     """
-    b_lo, n_blocks, skip = _word_span(first, count, lanes)
-    if count == 0:
-        return np.empty((0, lanes), dtype=np.float64)
-    start = _start_counter((b_lo, 0, step_index, PURPOSE_INCREMENT))
-    words = _raw_words(start, n_blocks, (seed, 0))
-    return words_to_uniforms(words[skip : skip + count * lanes]).reshape(count, lanes)
+    return vertex_uniforms_multi([seed], step_index, first, count, lanes)[0]
 
 
 def vertex_uniforms_multi(seeds, step_index, first, count, lanes, out=None):
-    """Like ``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes).
+    """``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes).
 
-    Each seed is reduced mod 2^64, as ``vertex_uniforms`` reduces its one.
+    Row r holds the draws keyed by ``seeds[r]``, each seed reduced mod 2^64.
     ``out``, if given, is a C-contiguous float64 array of that shape that
     receives the uniforms and is returned.
     """
@@ -191,8 +190,10 @@ def vertex_uniforms_multi(seeds, step_index, first, count, lanes, out=None):
     start = _start_counter((b_lo, 0, step_index, PURPOSE_INCREMENT))
     rows = out.reshape(len(seeds), count * lanes)
     for r, seed in enumerate(seeds):
-        words = _raw_words(start, n_blocks, (seed, 0))
-        words_to_uniforms(words[skip : skip + count * lanes], out=rows[r])
+        words = _raw_words(start, n_blocks, (seed, 0))[skip : skip + count * lanes]
+        # the words are this row's own, so they are shifted in place: a
+        # shifted copy per row made compound Poisson evolutions page-fault
+        _top_bits_to_uniforms(np.right_shift(words, np.uint64(11), out=words), rows[r])
     return out
 
 

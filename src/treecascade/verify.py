@@ -108,7 +108,7 @@ def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_repl
     for block in engine._replica_blocks(replicas, base.depth):
         leaves_t = engine._cascade_leaves(base.leaves, spec, evolve_seeds[block], [t])
         for c, s_used in enumerate(windows):
-            roots = engine._cascade_leaves(leaves_t, spec, fresh_seeds[block], [s_used], t=t)
+            roots = engine._cascade_leaves(leaves_t, spec, fresh_seeds[block], [s_used])
             composed[block, c] = roots.sum(axis=1)
 
     from scipy.stats import ks_2samp  # a slow import, made only where it is used

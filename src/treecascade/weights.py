@@ -16,8 +16,12 @@ it equals t/2.
 
 Sampling is addressed by ``VertexNoiseKey`` (seed, vertex, step index):
 identical keys give identical increments, distinct keys independent ones.
-The scalar sampler and the bulk per-level sampler share one code path, so
-single-draw reproduction of any simulated increment is exact.
+Every draw runs through one code path, ``log_increments_multi``, for a
+batch of seeds: ``log_increments`` is one row of it and
+``sample_increment`` one entry, so single-draw reproduction of any
+simulated increment is exact.  ``engine._evolve`` passes it an increments
+buffer and, for compound Poisson, a lane buffer that every step of an
+evolution reuses.
 """
 
 import math
@@ -166,70 +170,59 @@ def w_log_w(spec, t):
     return t * spec.rate * (m1p - m1 + 1.0)
 
 
-def _lanes(spec):
-    # Uniform draws consumed per vertex-step: one normal, or one Poisson
-    # count plus one normal for the jump sum.
-    return 1 if spec.kind == "gaussian" else 2
-
-
-def _poisson_counts(u, mu):
+def _poisson_counts(u, mu, out=None):
     """Poisson(mu) counts by inversion: the smallest k with pdtr(k, mu) >= u.
 
     One CDF table over mu +- (8 sd + 30) serves every uniform of the call;
     the rare uniform past either end goes to ``poisson.ppf``.  The two agree
     except where ``ppf``, through ``pdtrik``, misses by one: within an ulp
-    above a CDF value, and far in the upper tail of a large mu.
+    above a CDF value, and far in the upper tail of a large mu.  ``out``,
+    if given, is a contiguous float64 array of ``u``'s shape that receives
+    the counts.
     """
     half = 8.0 * math.sqrt(mu) + 30.0
     lo = max(0, int(mu - half))
     cdf = pdtr(np.arange(lo, int(mu + half) + 1), mu)
-    idx = np.searchsorted(cdf, u, side="left")
-    counts = (lo + idx).astype(np.float64)
+    if out is None:
+        out = np.empty(u.shape)
+    # searchsorted copies a strided ``u`` first; a contiguous one it reads
+    out[...] = u
+    idx = np.searchsorted(cdf, out, side="left")
+    np.add(idx, lo, out=out)
     past = (idx == len(cdf)) | ((idx == 0) & (lo > 0))
     if past.any():
         from scipy.stats import poisson  # a slow import, made only where it is used
 
-        counts[past] = poisson.ppf(u[past], mu)
-    return counts
+        out[past] = poisson.ppf(u[past], mu)
+    return out
 
 
-def _log_increments_from_uniforms(spec, duration, u):
-    if spec.kind == "gaussian":
-        # in place over the uniforms, which the callers draw for this call
-        # alone: replica batches make them tens of MB
-        x = u[:, 0]
-        ndtri(x, out=x)
-        x *= math.sqrt(duration)
-        x -= 0.5 * duration
-        return x
-    lam = spec.rate
-    n_jumps = _poisson_counts(u[:, 0], lam * duration)
-    z = ndtri(u[:, 1])
-    jump_sum = spec.jump_mean * n_jumps + spec.jump_sd * np.sqrt(n_jumps) * z
-    return jump_sum - duration * lam * (_jump_mgf(spec, 1.0) - 1.0)
+def _lane_buffer(spec, shape):
+    """Scratch that ``log_increments_multi`` needs for ``shape`` increments:
+    the (R, count, 2) uniforms of a compound Poisson draw; none for Gaussian."""
+    return np.empty(shape + (2,)) if spec.kind == COMPOUND_POISSON else None
 
 
-def log_increments(spec, t, duration, seed, step_index, first_flat, count):
-    """log of the weight increments over (t, t+duration] for a flat vertex range.
+def log_increments(spec, duration, seed, step_index, first_flat, count):
+    """log of the weight increments over a step of ``duration`` for a flat vertex range.
 
-    ``first_flat``/``count`` address vertices in level-major flat order
-    (see ``tree.flat_index``).  ``t`` is accepted for interface stability;
-    the built-in kinds have stationary increments.
+    One row of ``log_increments_multi``.  ``first_flat``/``count`` address
+    vertices in level-major flat order (see ``tree.flat_index``).  The
+    built-in kinds have stationary increments, so the step's start time
+    does not enter.
     """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    if duration == 0.0:
-        return np.zeros(count)
-    u = rng.vertex_uniforms(seed, step_index, first_flat, count, _lanes(spec))
-    return _log_increments_from_uniforms(spec, duration, u)
+    return log_increments_multi(spec, duration, [seed], step_index, first_flat, count)[0]
 
 
-def log_increments_multi(spec, t, duration, seeds, step_index, first_flat, count, out=None):
-    """Batched ``log_increments`` over per-replica seeds; shape (len(seeds), count).
+def log_increments_multi(
+    spec, duration, seeds, step_index, first_flat, count, out=None, *, _lanes=None
+):
+    """Log weight increments over a step of ``duration`` per seed; shape (len(seeds), count).
 
-    ``out``, if given, is a C-contiguous float64 array of that shape that
-    receives the increments and is returned; Gaussian uniforms are drawn
-    straight into it.
+    Row r holds the increments keyed by ``seeds[r]``.  ``out``, if given,
+    is a C-contiguous float64 array of that shape that receives the
+    increments and is returned.  ``_lanes`` is internal: ``engine._evolve``
+    passes one ``_lane_buffer`` that every step of an evolution reuses.
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
@@ -241,15 +234,28 @@ def log_increments_multi(spec, t, duration, seeds, step_index, first_flat, count
     if duration == 0.0:
         out.fill(0.0)
         return out
-    lanes = _lanes(spec)
-    # one lane (Gaussian): the uniforms are drawn into ``out`` and become
-    # the increments there, in place
-    u = rng.vertex_uniforms_multi(
-        seeds, step_index, first_flat, count, lanes, out=out[..., None] if lanes == 1 else None
-    )
-    x = _log_increments_from_uniforms(spec, duration, u.reshape(-1, lanes))
-    if lanes != 1:
-        out[...] = x.reshape(shape)
+    if spec.kind == GAUSSIAN:
+        # one uniform per vertex-step, drawn into ``out`` and turned into
+        # the increments there
+        rng.vertex_uniforms_multi(seeds, step_index, first_flat, count, 1, out=out[..., None])
+        ndtri(out, out=out)
+        out *= math.sqrt(duration)
+        out -= 0.5 * duration
+        return out
+    # a Poisson count and a normal per vertex-step, then the jump sum
+    # jump_mean * n + (jump_sd * sqrt(n)) * z, formed in that order
+    lanes = _lane_buffer(spec, shape) if _lanes is None else _lanes
+    rng.vertex_uniforms_multi(seeds, step_index, first_flat, count, 2, out=lanes)
+    u, z = lanes[..., 0], lanes[..., 1]
+    lam = spec.rate
+    n_jumps = _poisson_counts(u, lam * duration, out=out)
+    ndtri(z, out=z)
+    np.sqrt(n_jumps, out=u)
+    u *= spec.jump_sd
+    u *= z
+    n_jumps *= spec.jump_mean
+    n_jumps += u
+    n_jumps -= duration * lam * (_jump_mgf(spec, 1.0) - 1.0)
     return out
 
 
@@ -258,11 +264,12 @@ def sample_increment(spec, t, s, key):
 
     Runs the same generation path as the bulk sampler, so the returned
     value equals the increment any simulation with the same seed applies to
-    ``key.vertex`` at ``key.step_index`` with step duration ``s``.
+    ``key.vertex`` at ``key.step_index`` with step duration ``s``.  The
+    built-in kinds have stationary increments, so ``t`` does not enter.
     """
     if s < 0:
         raise ValueError("duration must be nonnegative")
     if s == 0.0:
         return 1.0
-    logw = log_increments(spec, t, s, key.seed, key.step_index, flat_index(key.vertex), 1)
+    logw = log_increments(spec, s, key.seed, key.step_index, flat_index(key.vertex), 1)
     return float(np.exp(logw[0]))

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -145,6 +146,50 @@ class TestConfigHandling:
         )
         assert _run(["analyze", "--measure", str(flow_file), "--t", "0.3"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFlagTable:
+    # flags a subcommand needs before --dump-config prints anything
+    REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
+    META = {"-h", "--config", "--dump-config", "--threads"}
+
+    @staticmethod
+    def _value(action, current):
+        """Arguments that give the flag a valid value other than ``current``, and that value."""
+        if action.nargs == 0:
+            return [], True
+        if action.choices:
+            pick = next(c for c in action.choices if c != current)
+            return [pick], pick
+        if isinstance(action, argparse._AppendAction):
+            return ["1:1"], ["1:1"]
+        value = {int: 7, float: 0.625, None: "x"}[action.type]
+        return [str(value)], value
+
+    @pytest.mark.parametrize("cmd", ["simulate", "analyze", "transport", "kpz", "verify"])
+    def test_each_config_key_has_exactly_one_flag(self, cmd, capsys):
+        def dump(argv):
+            assert _run([cmd, *self.REQUIRED.get(cmd, []), *argv, "--dump-config"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        before = dump([])
+        sub = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        setters = {}
+        for action in sub.choices[cmd]._actions:
+            flag = action.option_strings[0]
+            if flag in self.META:
+                continue
+            key = flag[2:].replace("-", "_")
+            args, want = self._value(action, before.get(key))
+            after = dump([flag, *args])
+            changed = sorted(k for k in set(before) | set(after) if before.get(k) != after.get(k))
+            assert changed == [key], flag
+            assert after[key] == want
+            setters.setdefault(key, []).append(flag)
+        assert sorted(setters) == sorted(set(before) - {"command"})
+        assert all(len(flags) == 1 for flags in setters.values())
 
 
 class TestAnalyze:

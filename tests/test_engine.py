@@ -266,7 +266,7 @@ class TestSimulatePath:
             assert 1 << 14 <= engine._STRIDED_WIDEN_MAX
         n = base.depth
         size = engine._flat_size(n)
-        cum = wp.log_increments_multi(wp.gaussian_spec(), 0.0, 0.4, derive_seeds(8, 5), 1, 0, size)
+        cum = wp.log_increments_multi(wp.gaussian_spec(), 0.4, derive_seeds(8, 5), 1, 0, size)
         slices = engine._level_slices(n, v)
         sub = base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
         batch = engine._leaf_masses(sub, cum, slices)

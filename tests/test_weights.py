@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from treecascade import tree
+from treecascade import engine, rng, tree
 from treecascade import weights as wp
 
 H = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -114,37 +114,37 @@ class TestPoissonCounts:
 class TestIncrements:
     def test_deterministic_given_key(self):
         spec = wp.gaussian_spec()
-        a = wp.log_increments(spec, 0.0, 0.1, 7, 1, 0, 64)
-        b = wp.log_increments(spec, 0.0, 0.1, 7, 1, 0, 64)
+        a = wp.log_increments(spec, 0.1, 7, 1, 0, 64)
+        b = wp.log_increments(spec, 0.1, 7, 1, 0, 64)
         assert np.array_equal(a, b)
 
     def test_zero_duration_is_unit_weight(self):
         spec = wp.gaussian_spec()
-        assert np.all(wp.log_increments(spec, 0.5, 0.0, 7, 1, 0, 8) == 0.0)
+        assert np.all(wp.log_increments(spec, 0.0, 7, 1, 0, 8) == 0.0)
         key = wp.VertexNoiseKey(7, tree.Vertex(1, 0), 1)
         assert wp.sample_increment(spec, 0.5, 0.0, key) == 1.0
 
     def test_multi_matches_single_seed_rows(self):
         spec = wp.compound_poisson_spec()
         seeds = np.array([11, 99], dtype=np.uint64)
-        multi = wp.log_increments_multi(spec, 0.0, 0.2, seeds, 3, 0, 32)
+        multi = wp.log_increments_multi(spec, 0.2, seeds, 3, 0, 32)
         for i, s in enumerate(seeds):
-            row = wp.log_increments(spec, 0.0, 0.2, int(s), 3, 0, 32)
+            row = wp.log_increments(spec, 0.2, int(s), 3, 0, 32)
             assert np.array_equal(multi[i], row)
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_multi_reduces_seeds_like_single(self, spec):
         # keys are taken mod 2^64 in both samplers: -3 and 2^64 + 5 are
         # batch seeds as valid as they are single ones
-        multi = wp.log_increments_multi(spec, 0.0, 0.1, [-3, 2**64 + 5], 1, 0, 14)
-        assert np.array_equal(multi[0], wp.log_increments(spec, 0.0, 0.1, -3, 1, 0, 14))
-        assert np.array_equal(multi[1], wp.log_increments(spec, 0.0, 0.1, 5, 1, 0, 14))
+        multi = wp.log_increments_multi(spec, 0.1, [-3, 2**64 + 5], 1, 0, 14)
+        assert np.array_equal(multi[0], wp.log_increments(spec, 0.1, -3, 1, 0, 14))
+        assert np.array_equal(multi[1], wp.log_increments(spec, 0.1, 5, 1, 0, 14))
 
     def test_sample_increment_matches_bulk(self):
         spec = wp.gaussian_spec()
         v = tree.Vertex(3, 5)
         key = wp.VertexNoiseKey(13, v, 2)
-        bulk = wp.log_increments(spec, 0.0, 0.25, 13, 2, 0, 14)
+        bulk = wp.log_increments(spec, 0.25, 13, 2, 0, 14)
         assert wp.sample_increment(spec, 0.0, 0.25, key) == pytest.approx(
             math.exp(bulk[tree.flat_index(v)]), rel=1e-15
         )
@@ -153,14 +153,14 @@ class TestIncrements:
         # frozen-seed Monte Carlo against the analytic law of log W
         spec = wp.gaussian_spec()
         t = 0.4
-        x = wp.log_increments(spec, 0.0, t, 2024, 1, 0, 200_000)
+        x = wp.log_increments(spec, t, 2024, 1, 0, 200_000)
         assert np.mean(x) == pytest.approx(-t / 2, abs=4 * math.sqrt(t / len(x)))
         assert np.var(x) == pytest.approx(t, rel=0.02)
 
     def test_compound_increment_mean_one(self):
         spec = wp.compound_poisson_spec()
         t = 0.5
-        w = np.exp(wp.log_increments(spec, 0.0, t, 555, 1, 0, 200_000))
+        w = np.exp(wp.log_increments(spec, t, 555, 1, 0, 200_000))
         se = np.std(w) / math.sqrt(len(w))
         assert abs(np.mean(w) - 1.0) < 4 * se
 
@@ -168,7 +168,7 @@ class TestIncrements:
         # weights with no jumps take the exact compensation value e^{-lam t (M(1)-1)}
         spec = wp.compound_poisson_spec()
         t = 0.3
-        logw = wp.log_increments(spec, 0.0, t, 321, 1, 0, 100_000)
+        logw = wp.log_increments(spec, t, 321, 1, 0, 100_000)
         m1 = math.exp(spec.jump_mean + spec.jump_sd**2 / 2)
         no_jump_value = -spec.rate * t * (m1 - 1.0)
         frac = np.mean(np.abs(logw - no_jump_value) < 1e-12)
@@ -180,22 +180,51 @@ class TestIncrements:
         with pytest.raises(ValueError):
             wp.VertexNoiseKey(1, tree.Vertex(1, 0), 0)
         with pytest.raises(ValueError):
-            wp.log_increments(wp.gaussian_spec(), 0.0, -0.1, 1, 1, 0, 4)
+            wp.log_increments(wp.gaussian_spec(), -0.1, 1, 1, 0, 4)
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     @pytest.mark.parametrize("duration", [0.0, 0.2])
     def test_multi_into_out(self, spec, duration):
         seeds = np.array([11, 99, 5], dtype=np.uint64)
         out = np.full((3, 30), np.nan)
-        got = wp.log_increments_multi(spec, 0.0, duration, seeds, 3, 2, 30, out=out)
+        got = wp.log_increments_multi(spec, duration, seeds, 3, 2, 30, out=out)
         assert got is out
-        assert np.array_equal(out, wp.log_increments_multi(spec, 0.0, duration, seeds, 3, 2, 30))
+        assert np.array_equal(out, wp.log_increments_multi(spec, duration, seeds, 3, 2, 30))
         for bad in (np.empty((3, 31)), np.empty((30, 3)).T):
             with pytest.raises(ValueError, match="out must be"):
-                wp.log_increments_multi(spec, 0.0, duration, seeds, 3, 2, 30, out=bad)
+                wp.log_increments_multi(spec, duration, seeds, 3, 2, 30, out=bad)
+
+    # rate * duration of 0.025, 2 and 2000; count 0 is a depth-0 state
+    @pytest.mark.parametrize("rate, duration", [(0.5, 0.05), (2.0, 1.0), (4000.0, 0.5)])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("count", [0, 30])
+    def test_compound_matches_reference(self, rate, duration, replicas, count):
+        # the jump sum as a fresh expression over the drawn uniforms
+        spec = wp.compound_poisson_spec(rate=rate, jump_mean=0.1, jump_sd=0.4)
+        seeds = rng.derive_seeds(17, replicas)
+        u = rng.vertex_uniforms_multi(seeds, 2, 5, count, 2).reshape(-1, 2)
+        n_jumps = wp._poisson_counts(u[:, 0], rate * duration)
+        z = special.ndtri(u[:, 1])
+        jump_sum = spec.jump_mean * n_jumps + spec.jump_sd * np.sqrt(n_jumps) * z
+        want = jump_sum - duration * rate * (wp._jump_mgf(spec, 1.0) - 1.0)
+        got = wp.log_increments_multi(spec, duration, seeds, 2, 5, count)
+        assert got.shape == (replicas, count)
+        assert np.array_equal(got, want.reshape(replicas, count))
+
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec(rate=40.0)])
+    def test_evolution_reuses_buffers_exactly(self, spec):
+        # every step of an evolution draws into the same increments and lane buffers
+        seeds = rng.derive_seeds(4, 3)
+        durations = [0.1, 0.0, 0.05]
+        *_, state = engine._evolve(spec, seeds, durations, 3)
+        size = engine._flat_size(3)
+        want = np.zeros((3, size))
+        for j, dt in enumerate(durations):
+            want += wp.log_increments_multi(spec, dt, seeds, 1 + j, 0, size)
+        assert np.array_equal(state, want)
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_multi_rejects_negative_duration(self, spec):
         seeds = np.array([1], dtype=np.uint64)
         with pytest.raises(ValueError, match="duration must be nonnegative"):
-            wp.log_increments_multi(spec, 0.0, -0.1, seeds, 1, 0, 2)
+            wp.log_increments_multi(spec, -0.1, seeds, 1, 0, 2)
