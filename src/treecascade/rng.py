@@ -191,8 +191,8 @@ def vertex_uniforms_multi(seeds, step_index, first, count, lanes, out=None):
     rows = out.reshape(len(seeds), count * lanes)
     for r, seed in enumerate(seeds):
         words = _raw_words(start, n_blocks, (seed, 0))[skip : skip + count * lanes]
-        # the words are this row's own, so they are shifted in place: a
-        # shifted copy per row made compound Poisson evolutions page-fault
+        # the words are this row's own, so they are shifted in place: with
+        # a shifted copy per row, compound Poisson steps page-fault anew
         _top_bits_to_uniforms(np.right_shift(words, np.uint64(11), out=words), rows[r])
     return out
 

@@ -110,11 +110,8 @@ def spec_from_config(config):
     if kind == "gaussian":
         return WeightSpec(kind="gaussian")
     if kind == "compound_poisson":
-        return compound_poisson_spec(
-            rate=float(config.get("rate", 1.0)),
-            jump_mean=float(config.get("jump_mean", 0.0)),
-            jump_sd=float(config.get("jump_sd", 0.3)),
-        )
+        # a field left out takes its default from compound_poisson_spec
+        return compound_poisson_spec(**{k: float(v) for k, v in config.items() if k != "kind"})
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
