@@ -14,8 +14,9 @@ Every input can come from a JSON config file (``--config``); explicit
 flags override file values, and ``--dump-config`` prints the merged
 effective config without running.  Outputs are CSV (RFC 4180,
 CRLF line endings, round-trip float formatting) or JSON with sorted
-keys, so identical (argv, seed) runs produce byte-identical files at
-any ``--threads`` setting.
+keys, so identical (argv, seed) runs produce byte-identical files.
+Runs are single-threaded; ``--threads`` is still accepted and checked
+(an integer >= 1) but changes nothing.
 """
 
 import argparse
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import engine, kpz, regularity, transport, verify
 from . import weights as wp
-from .parallel import parallel_map, thread_count
 from .rng import derive_seeds
 from .tree import ROOT, Vertex, load_flow, normalize, save_flow, truncate, uniform_flow
 
@@ -62,7 +62,7 @@ _COMMON = (
     _flag(
         "--threads",
         None,
-        "worker threads for replica loops (default: CASCADE_THREADS or 1); never changes outputs",
+        "accepted for compatibility (an integer >= 1); runs are single-threaded",
         type=int,
     ),
 )
@@ -258,6 +258,8 @@ def _spec_from_config(cfg, parser):
 def _flow_from_config(cfg, parser):
     measure = cfg["measure"]
     depth = cfg.get("depth")
+    if depth is not None and int(depth) < 0:
+        parser.error("--depth must be >= 0")
     if measure == "theta":
         if depth is None:
             parser.error("--depth is required with --measure theta")
@@ -303,7 +305,7 @@ def _parse_vertices(items, parser):
     return vertices
 
 
-def _cmd_simulate(cfg, threads, parser):
+def _cmd_simulate(cfg, parser):
     base = _flow_from_config(cfg, parser)
     spec = _spec_from_config(cfg, parser)
     try:
@@ -333,7 +335,7 @@ def _cmd_simulate(cfg, threads, parser):
         final = path.snapshot(path.n_snapshots - 1) if save else None
         return series[:, 0], series[:, 1:], final
 
-    results = parallel_map(one, range(replicas), threads=threads)
+    results = [one(r) for r in range(replicas)]
 
     rows = []
     for i, t in enumerate(grid):
@@ -359,7 +361,7 @@ def _cmd_simulate(cfg, threads, parser):
     return 0
 
 
-def _cmd_analyze(cfg, threads, parser):
+def _cmd_analyze(cfg, parser):
     spec = _spec_from_config(cfg, parser)
     if cfg["measure"] == "theta":
         measure = regularity.THETA
@@ -386,7 +388,7 @@ def _cmd_analyze(cfg, threads, parser):
     return 0
 
 
-def _cmd_transport(cfg, threads, parser):
+def _cmd_transport(cfg, parser):
     mode = cfg["mode"]
     if mode == "distance":
         if cfg.get("mu") is None or cfg.get("nu") is None:
@@ -417,6 +419,8 @@ def _cmd_transport(cfg, threads, parser):
         return 0
 
     spec = _spec_from_config(cfg, parser)
+    if int(cfg["depth"]) < 0:
+        parser.error("--depth must be >= 0")
     base = uniform_flow(int(cfg["depth"]))
     try:
         grid = engine.make_grid(float(cfg["t_end"]), float(cfg["step"]))
@@ -425,6 +429,8 @@ def _cmd_transport(cfg, threads, parser):
     replicas = int(cfg["replicas"])
     if replicas < 1:
         parser.error("--replicas must be >= 1")
+    if int(cfg["pair_budget"]) < 1:
+        parser.error("--pair-budget must be >= 1")
     seeds = derive_seeds(int(cfg["seed"]), replicas)
     paths = (
         engine.simulate_path(base, spec, grid, seed=int(seeds[r])) for r in range(replicas)
@@ -444,7 +450,7 @@ def _cmd_transport(cfg, threads, parser):
     return 0
 
 
-def _cmd_kpz(cfg, threads, parser):
+def _cmd_kpz(cfg, parser):
     mode = cfg["mode"]
     if mode == "ode":
         if cfg.get("d0") is None or cfg.get("t_end") is None:
@@ -496,10 +502,10 @@ def _cmd_kpz(cfg, threads, parser):
     return 0
 
 
-def _cmd_verify(cfg, threads, parser):
+def _cmd_verify(cfg, parser):
     seed = int(cfg["seed"])
     suite = verify.default_suite(seed) if cfg["suite"] == "default" else verify.quick_suite(seed)
-    reports = verify.run_suite(suite, threads=threads)
+    reports = verify.run_suite(suite)
     for r in reports:
         sys.stdout.write(
             f"{r.test_name:<26} {r.verdict:<13} expected={r.expected:<6} "
@@ -527,18 +533,14 @@ def run(argv):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     cfg = _effective_config(ns, parser)
-    try:
-        threads = thread_count(getattr(ns, "threads", None))
-    except ValueError as exc:
-        parser.error(str(exc))
+    if getattr(ns, "threads", 1) < 1:
+        parser.error("thread count must be >= 1")
     if getattr(ns, "dump_config", False):
-        # threads steer scheduling only, never results, so they stay out of
-        # the provenance record
         doc = {"command": ns.command, **cfg}
         sys.stdout.write(_json_text(doc))
         return 0
     try:
-        return _HANDLERS[ns.command](cfg, threads, parser)
+        return _HANDLERS[ns.command](cfg, parser)
     except Exception as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

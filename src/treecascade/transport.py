@@ -182,6 +182,8 @@ def holder_distances(path, pair_budget=64, lags=None):
     by the edge weight of the level; the sums are numpy reductions, not
     BLAS, so the result does not depend on the BLAS thread count.
     """
+    if pair_budget < 1:
+        raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
     times = path.times
     n_times = len(times)
     if n_times < 3:

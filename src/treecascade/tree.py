@@ -425,9 +425,17 @@ def flow_to_json(f):
 
 
 def flow_from_json(text):
+    """Flow from ``flow_to_json`` text; a malformed document raises ValueError."""
     payload = json.loads(text)
-    levels = payload["levels"]
-    if len(levels) != payload["depth"] + 1:
+    if not isinstance(payload, dict):
+        raise ValueError(f"flow JSON must be an object, got {type(payload).__name__}")
+    missing = [k for k in ("depth", "levels") if k not in payload]
+    if missing:
+        raise ValueError(f"flow JSON lacks the field(s) {missing}")
+    depth, levels = payload["depth"], payload["levels"]
+    if type(depth) is not int or not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth field {depth!r} is not an integer in [0, {MAX_DEPTH}]")
+    if not isinstance(levels, list) or len(levels) != depth + 1:
         raise ValueError("depth field inconsistent with level count")
     return flow_from_levels(levels)
 
@@ -444,15 +452,31 @@ def flow_to_csv(f):
 
 
 def flow_from_csv(text):
+    """Flow from ``flow_to_csv`` text: one row per vertex of every level, in
+    any order.  A malformed table raises ValueError naming its bad line."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["depth", "path_bits", "mass"]:
         raise ValueError("expected header depth,path_bits,mass")
-    entries = [(int(d), int(b), float(m)) for d, b, m in rows[1:]]
-    if not entries:
+    masses = {}
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            d, b, m = row
+            d, b, m = int(d), int(b), float(m)
+        except ValueError as exc:
+            raise ValueError(f"line {line}: bad row {row}: {exc}") from None
+        if not (0 <= d <= MAX_DEPTH and 0 <= b < 1 << d):
+            raise ValueError(
+                f"line {line}: no vertex at depth {d}, path_bits {b} "
+                f"(depth in [0, {MAX_DEPTH}], path_bits in [0, 2^depth))"
+            )
+        if (d, b) in masses:
+            raise ValueError(f"line {line}: duplicate vertex at depth {d}, path_bits {b}")
+        masses[d, b] = m
+    if not masses:
         raise ValueError("empty flow table")
-    depth = max(d for d, _, _ in entries)
+    depth = max(d for d, _ in masses)
     levels = [np.full(1 << k, np.nan) for k in range(depth + 1)]
-    for d, b, m in entries:
+    for (d, b), m in masses.items():
         levels[d][b] = m
     for k, a in enumerate(levels):
         if np.any(np.isnan(a)):

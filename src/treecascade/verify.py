@@ -16,7 +16,8 @@ their replicas in blocks of at most ``engine._REPLICA_BLOCK`` state
 elements (``engine._replica_blocks``): the state a step works on stays
 within 2 MiB whatever the replica count and depth (past depth 17 one
 replica is a block).  Rows are independent, so every statistic is the
-same bit for bit whatever the block size.
+same bit for bit whatever the block size.  Blocks and replicas run one
+after another in the calling thread.
 """
 
 import hashlib
@@ -30,7 +31,6 @@ from .rng import derive_seed, derive_seeds
 from .tree import uniform_flow
 from . import engine, observables, regularity, transport
 from . import weights as wp
-from .parallel import parallel_map
 
 __all__ = [
     "PASS",
@@ -141,7 +141,6 @@ def test_markov_marginal(
     threshold=0.01,
     min_replicas=200,
     control=False,
-    threads=1,
 ):
     """KS equality of the root-mass law at t+s: one step vs evolve-then-cascade.
 
@@ -222,7 +221,6 @@ def test_martingale(
     threshold=4.0,
     min_replicas=200,
     uncompensated=False,
-    threads=1,
 ):
     """Replica-mean root mass against the initial mass, max |z| over times.
 
@@ -261,7 +259,6 @@ def test_composition(
     spec=None,
     seed=0,
     threshold=1e-12,
-    threads=1,
 ):
     """Replay every stored pair (i, j) and compare all vertex masses."""
     if spec is None:
@@ -279,8 +276,7 @@ def test_composition(
             worst = max(worst, float(np.max(np.abs(flat / direct - 1.0))))
         return worst
 
-    worsts = parallel_map(worst_for_start, range(len(grid) - 1), threads=threads)
-    stat = max(worsts)
+    stat = max(worst_for_start(i) for i in range(len(grid) - 1))
     return TestReport(
         test_name="composition",
         statistic=stat,
@@ -302,7 +298,6 @@ def test_regularity_propagation(
     min_fraction=0.95,
     min_replicas=16,
     spec=None,
-    threads=1,
 ):
     """Snapshots keep fitted pressure under the propagated analytic bound."""
     if spec is None:
@@ -319,7 +314,7 @@ def test_regularity_propagation(
                 return False
         return True
 
-    good = parallel_map(one, range(replicas), threads=threads)
+    good = [one(r) for r in range(replicas)]
     frac = sum(good) / replicas
     return TestReport(
         test_name="regularity_propagation",
@@ -342,7 +337,6 @@ def test_holder_slope(
     bounds=(0.40, 0.60),
     min_replicas=4,
     spec=None,
-    threads=1,
 ):
     """Pooled log-log Wasserstein slope across dyadic lags sits near 1/2."""
     if spec is None:
@@ -376,7 +370,6 @@ def test_qv_agreement(
     threshold=0.15,
     min_replicas=8,
     spec=None,
-    threads=1,
 ):
     """Mean relative error of realized vs predicted log-root quadratic variation."""
     if spec is None:
@@ -389,7 +382,7 @@ def test_qv_agreement(
         path = engine.simulate_path(base, spec, grid, seed=int(seeds[r]))
         return observables.realized_vs_predicted_qv(path).rel_err
 
-    rels = parallel_map(one, range(replicas), threads=threads)
+    rels = [one(r) for r in range(replicas)]
     stat = float(np.mean(rels))
     return TestReport(
         test_name="qv_agreement",
@@ -474,14 +467,15 @@ def run_suite(config, threads=1):
     """Execute the configured entries; deterministic given the suite seed.
 
     Each entry runs under a seed derived from (suite seed, test name), so
-    entries are independent and reorderable.
+    entries are independent and reorderable.  ``threads`` is accepted for
+    existing callers and ignored: every entry runs in the calling thread.
     """
     reports = []
     for entry in config.entries:
         if entry.name not in _REGISTRY:
             raise ValueError(f"unknown test name {entry.name!r}")
         fn = _REGISTRY[entry.name]
-        report = fn(seed=_entry_seed(config.seed, entry.name), threads=threads, **entry.params)
+        report = fn(seed=_entry_seed(config.seed, entry.name), **entry.params)
         reports.append(replace(report, expected=entry.expected))
     return reports
 

@@ -69,6 +69,12 @@ class TestSimulate:
         )
         assert code == 0
 
+    def test_negative_depth_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["simulate", "--measure", "theta", "--depth", "-2", "--t-end", "0.1"])
+        assert exc.value.code == 2
+        assert "--depth must be >= 0" in capsys.readouterr().err
+
     def test_byte_identity_across_threads(self, tmp_path, monkeypatch):
         argv = [
             "simulate", "--measure", "theta", "--depth", "6", "--t-end", "0.3",
@@ -148,6 +154,23 @@ class TestConfigHandling:
         assert "error:" in capsys.readouterr().err
 
 
+class TestThreadsFlag:
+    # perfbench passes --threads 1 to every subcommand it runs; the flag must
+    # keep parsing and keep rejecting counts below 1.
+    REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
+
+    @pytest.mark.parametrize("cmd", ["simulate", "analyze", "transport", "kpz", "verify"])
+    def test_threads_parses_and_is_checked(self, cmd, capsys):
+        argv = [cmd, *self.REQUIRED.get(cmd, []), "--dump-config", "--threads"]
+        assert _run(argv + ["1"]) == 0
+        assert "threads" not in json.loads(capsys.readouterr().out)
+        for bad, message in (("0", "thread count must be >= 1"), ("x", "invalid int value")):
+            with pytest.raises(SystemExit) as exc:
+                _run(argv + [bad])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+
 class TestFlagTable:
     # flags a subcommand needs before --dump-config prints anything
     REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
@@ -218,6 +241,16 @@ class TestAnalyze:
             _run(["analyze", "--measure", "theta", "--t", "-0.5"])
         assert exc.value.code == 2
 
+    def test_malformed_flow_file_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("depth,path_bits,mass\n0,0,1.0\n1,0,0.5\n1,2,0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(["analyze", "--measure", str(bad), "--t", "0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot load flow" in err
+        assert "line 4: no vertex at depth 1, path_bits 2" in err
+
 
 class TestTransport:
     def test_distance_workflow_exact_matches_lp(self, tmp_path, capsys):
@@ -272,6 +305,33 @@ class TestTransport:
         assert 0.2 < doc["slope"] < 0.8
         assert doc["n_pairs"] > 0
         assert len(doc["lag_times"]) == len(doc["median_log_distance"])
+
+
+    def test_malformed_flow_file_rejected(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"depth":0,"levels":[[1.0]]}')
+        bad.write_text('{"depth": 1}')
+        with pytest.raises(SystemExit) as exc:
+            _run(["transport", "--mu", str(bad), "--nu", str(good)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot load flow" in err
+        assert "lacks the field(s) ['levels']" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pair-budget", "0"], "--pair-budget must be >= 1"),
+            (["--pair-budget", "-1"], "--pair-budget must be >= 1"),
+            (["--depth", "-1"], "--depth must be >= 0"),
+        ],
+        ids=["pair_budget_0", "pair_budget_-1", "depth_-1"],
+    )
+    def test_holder_mode_range_checks(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["transport", "--mode", "holder", "--depth", "4", "--t-end", "0.25", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestKpz:

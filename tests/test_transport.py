@@ -355,6 +355,12 @@ class TestHolderSweep:
         with pytest.raises(ValueError, match=f"lag {lag} "):
             transport.holder_distances(path, lags=(1, lag))
 
+    @pytest.mark.parametrize("pair_budget", [0, -1])
+    def test_pair_budget_below_one_rejected(self, pair_budget):
+        path = _gauss_path(3, 0.1, 0.01)
+        with pytest.raises(ValueError, match=f"pair_budget must be at least 1, got {pair_budget}"):
+            transport.holder_distances(path, pair_budget=pair_budget)
+
     def test_longest_lag_accepted(self):
         path = _gauss_path(3, 0.1, 0.01)
         [(lag_time, dists)] = transport.holder_distances(path, lags=(10,))

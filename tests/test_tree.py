@@ -241,3 +241,40 @@ class TestSerialization:
     def test_json_rejects_inconsistent_depth(self):
         with pytest.raises(ValueError):
             tree.flow_from_json('{"depth": 2, "levels": [[1.0]]}')
+
+    # A valid depth-1 table; each case appends one malformed row to it.
+    DEPTH1_CSV = "depth,path_bits,mass\r\n0,0,1.0\r\n1,0,0.5\r\n1,1,0.5\r\n"
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("1,-1,0.5", r"line 5: no vertex at depth 1, path_bits -1"),
+            ("-1,0,9.0", r"line 5: no vertex at depth -1, path_bits 0"),
+            ("1,2,0.5", r"line 5: no vertex at depth 1, path_bits 2"),
+            (f"{tree.MAX_DEPTH + 1},0,0.5", rf"line 5: no vertex at depth {tree.MAX_DEPTH + 1}"),
+            ("1,1,0.7", r"line 5: duplicate vertex at depth 1, path_bits 1"),
+            ("1,1", r"line 5: bad row \['1', '1'\]"),
+            ("1,x,0.5", r"line 5: bad row"),
+        ],
+        ids=["negative_bits", "negative_depth", "bits_past_level", "depth_past_max",
+             "duplicate", "short_row", "non_integer"],
+    )
+    def test_csv_rejects_malformed_row(self, row, match):
+        with pytest.raises(ValueError, match=match):
+            tree.flow_from_csv(self.DEPTH1_CSV + row + "\r\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[1, 2]", r"must be an object, got list"),
+            ('{"depth": 1}', r"lacks the field\(s\) \['levels'\]"),
+            ('{"levels": [[1.0]]}', r"lacks the field\(s\) \['depth'\]"),
+            ('{"depth": -1, "levels": []}', r"depth field -1 is not an integer"),
+            ('{"depth": "0", "levels": [[1.0]]}', r"depth field '0' is not an integer"),
+            ('{"depth": 0, "levels": {"0": [1.0]}}', r"inconsistent with level count"),
+        ],
+        ids=["list", "no_levels", "no_depth", "negative_depth", "string_depth", "levels_not_list"],
+    )
+    def test_json_rejects_malformed_document(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            tree.flow_from_json(text)
