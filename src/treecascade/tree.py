@@ -437,7 +437,10 @@ def flow_from_json(text):
         raise ValueError(f"depth field {depth!r} is not an integer in [0, {MAX_DEPTH}]")
     if not isinstance(levels, list) or len(levels) != depth + 1:
         raise ValueError("depth field inconsistent with level count")
-    return flow_from_levels(levels)
+    try:
+        return flow_from_levels(levels)
+    except TypeError as exc:
+        raise ValueError(f"levels hold a value that is not a number: {exc}") from None
 
 
 def flow_to_csv(f):

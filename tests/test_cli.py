@@ -154,23 +154,6 @@ class TestConfigHandling:
         assert "error:" in capsys.readouterr().err
 
 
-class TestThreadsFlag:
-    # perfbench passes --threads 1 to every subcommand it runs; the flag must
-    # keep parsing and keep rejecting counts below 1.
-    REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
-
-    @pytest.mark.parametrize("cmd", ["simulate", "analyze", "transport", "kpz", "verify"])
-    def test_threads_parses_and_is_checked(self, cmd, capsys):
-        argv = [cmd, *self.REQUIRED.get(cmd, []), "--dump-config", "--threads"]
-        assert _run(argv + ["1"]) == 0
-        assert "threads" not in json.loads(capsys.readouterr().out)
-        for bad, message in (("0", "thread count must be >= 1"), ("x", "invalid int value")):
-            with pytest.raises(SystemExit) as exc:
-                _run(argv + [bad])
-            assert exc.value.code == 2
-            assert message in capsys.readouterr().err
-
-
 class TestFlagTable:
     # flags a subcommand needs before --dump-config prints anything
     REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
@@ -213,6 +196,21 @@ class TestFlagTable:
             setters.setdefault(key, []).append(flag)
         assert sorted(setters) == sorted(set(before) - {"command"})
         assert all(len(flags) == 1 for flags in setters.values())
+
+
+class TestThreadsFlag:
+    # perfbench passes --threads 1 to every subcommand it runs; the flag must
+    # keep parsing and keep rejecting counts below 1.
+    @pytest.mark.parametrize("cmd", ["simulate", "analyze", "transport", "kpz", "verify"])
+    def test_threads_parses_and_is_checked(self, cmd, capsys):
+        argv = [cmd, *TestFlagTable.REQUIRED.get(cmd, []), "--dump-config", "--threads"]
+        assert _run(argv + ["1"]) == 0
+        assert "threads" not in json.loads(capsys.readouterr().out)
+        for bad, message in (("0", "thread count must be >= 1"), ("x", "invalid int value")):
+            with pytest.raises(SystemExit) as exc:
+                _run(argv + [bad])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -305,7 +303,6 @@ class TestTransport:
         assert 0.2 < doc["slope"] < 0.8
         assert doc["n_pairs"] > 0
         assert len(doc["lag_times"]) == len(doc["median_log_distance"])
-
 
     def test_malformed_flow_file_rejected(self, tmp_path, capsys):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -272,8 +272,10 @@ class TestSerialization:
             ('{"depth": -1, "levels": []}', r"depth field -1 is not an integer"),
             ('{"depth": "0", "levels": [[1.0]]}', r"depth field '0' is not an integer"),
             ('{"depth": 0, "levels": {"0": [1.0]}}', r"inconsistent with level count"),
+            ('{"depth": 0, "levels": [[{}]]}', r"levels hold a value that is not a number"),
         ],
-        ids=["list", "no_levels", "no_depth", "negative_depth", "string_depth", "levels_not_list"],
+        ids=["list", "no_levels", "no_depth", "negative_depth", "string_depth", "levels_not_list",
+             "object_mass"],
     )
     def test_json_rejects_malformed_document(self, text, match):
         with pytest.raises(ValueError, match=match):
