@@ -197,7 +197,7 @@ _DEFAULTS = {
     for cmd, (_, rows) in _COMMANDS.items()
 }
 _META_KEYS = ("command", *(_key(flag) for flag, *_ in _COMMON))
-_JUMP_FIELDS = tuple(_key(flag) for flag, *_ in _JUMP_LAW[1:])
+_SPEC_FIELDS = tuple(_key(flag) for flag, *_ in _JUMP_LAW)
 
 
 def _add_flags(parser, rows):
@@ -247,12 +247,17 @@ def _effective_config(ns, parser):
 
 
 def _spec_from_config(cfg, parser):
-    given = [k for k in _JUMP_FIELDS if cfg[k] is not None]
-    if cfg["kind"] == wp.GAUSSIAN:
-        if given:
-            parser.error(f"{sorted(given)} only apply to --kind compound_poisson")
-        return wp.gaussian_spec()
-    return wp.compound_poisson_spec(**{k: float(cfg[k]) for k in given})
+    try:
+        return wp.spec_from_config({k: cfg[k] for k in _SPEC_FIELDS if cfg[k] is not None})
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _uniform_flow(depth, parser):
+    try:
+        return uniform_flow(depth)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _flow_from_config(cfg, parser):
@@ -263,7 +268,7 @@ def _flow_from_config(cfg, parser):
     if measure == "theta":
         if depth is None:
             parser.error("--depth is required with --measure theta")
-        return uniform_flow(int(depth))
+        return _uniform_flow(int(depth), parser)
     try:
         f = load_flow(measure)
     except (OSError, ValueError) as exc:
@@ -421,7 +426,7 @@ def _cmd_transport(cfg, parser):
     spec = _spec_from_config(cfg, parser)
     if int(cfg["depth"]) < 0:
         parser.error("--depth must be >= 0")
-    base = uniform_flow(int(cfg["depth"]))
+    base = _uniform_flow(int(cfg["depth"]), parser)
     try:
         grid = engine.make_grid(float(cfg["t_end"]), float(cfg["step"]))
     except ValueError as exc:
@@ -475,12 +480,11 @@ def _cmd_kpz(cfg, parser):
     if max(exps) > depth:
         parser.error("finest scale exponent exceeds the tree depth")
     scales = [2.0**-m for m in exps]
-    if t == 0:
-        flow = uniform_flow(depth)
-    else:
+    flow = _uniform_flow(depth, parser)
+    if t != 0:
         grid = engine.make_grid(t, t / 8.0)
         path = engine.simulate_path(
-            base=uniform_flow(depth),
+            base=flow,
             spec=spec,
             grid=grid,
             seed=int(cfg["seed"]),

@@ -30,12 +30,14 @@ last axis, so ``verify`` and ``observables`` hand it whole (R, size)
 replica batches, and ``tree`` holds the one level reduction.  A
 materialized snapshot is one level-major buffer of 2^(n+1) - 1 masses
 (``CascadePath.masses_flat``); its levels are views of that buffer.  A
-path computes its per-snapshot summaries (root mass, overlap,
-deepest-level share) once, in one sweep, for every reader.  A vertex mass
-series reads only the vertex's root path and subtree, in the same order
-of operations, so it matches the full snapshot bit for bit; it gathers
-those states for a block of snapshots at a time and runs one batched
-root-path product and level reduction per block.
+path stores its snapshots' log-states as the rows of one read-only
+(T, 2^(n+1) - 2) array and computes its per-snapshot summaries (root
+mass, overlap, deepest-level share) once, in one sweep, for every reader.
+A vertex mass series reads only the vertex's root path and subtree, in
+the same order of operations, so it matches the full snapshot bit for
+bit; it reads those states in place from a block of consecutive rows at
+a time and runs one batched root-path product and level reduction per
+block.
 """
 
 import functools
@@ -75,8 +77,9 @@ __all__ = [
 _REPLICA_BLOCK = 1 << 18
 
 
-# Largest block of gathered state, in elements, that one batched step of
-# ``CascadePath.vertex_mass_series`` reduces (512 KiB of float64).
+# Largest block, in leaf masses of the vertex's subtree, that one batched
+# step of ``CascadePath.vertex_mass_series`` reduces (512 KiB of float64):
+# four snapshots for the root at depth 14.
 _SERIES_BLOCK = 1 << 16
 
 
@@ -186,20 +189,6 @@ def _evolve(spec, seeds, durations, depth, first_step=1):
         yield state
 
 
-def _gather_rows(states, index):
-    """The entries ``index`` (increasing) of each state, one row per state."""
-    block = np.empty((len(states), len(index)))
-    contiguous = len(index) > 0 and index[-1] - index[0] == len(index) - 1
-    for row, state in zip(block, states):
-        if contiguous:
-            # one run, as the root's: a slice copy, not a gather
-            row[...] = state[index[0] : index[-1] + 1]
-        else:
-            # every index is in range, so "clip" only skips the check
-            state.take(index, out=row, mode="clip")
-    return block
-
-
 def _overlap_from_flat(flat):
     """(overlap, deepest share) of the masses in a level-major buffer.
 
@@ -269,8 +258,9 @@ def cascade_static(base, level_weights):
 class CascadePath:
     """A cascade evolution: base flow, grid, and stored weight states.
 
-    Snapshots are materialized lazily from the stored accumulated
-    log-weight state; ``snapshot(0)`` returns the base flow itself.
+    The accumulated log-weight states of the stored snapshots are the rows
+    of one read-only (T, 2^(n+1) - 2) array.  Snapshots are materialized
+    lazily from them; ``snapshot(0)`` returns the base flow itself.
     Per-snapshot summaries (root mass, overlap, deepest-level share) are
     computed by the first call that needs them, in one sweep over the
     snapshots, and kept.
@@ -281,7 +271,7 @@ class CascadePath:
     grid: np.ndarray
     seed: int
     snapshot_indices: np.ndarray
-    _cum: tuple = field(repr=False)
+    _cum: np.ndarray = field(repr=False)
     _summaries: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -358,36 +348,25 @@ class CascadePath:
         """Masses of the given vertices at every stored snapshot; shape (T, len(vertices)).
 
         Each entry equals ``masses_flat(i)`` at the vertex's offset bit for
-        bit, but is computed from the vertex's root path and subtree alone:
-        their states at as many stored snapshots as fit in ``_SERIES_BLOCK``
-        elements are gathered into one block, which takes one root-path
-        product and one level reduction.  Grid index 0 reads the base flow.
+        bit, but is computed from the vertex's root path and subtree alone,
+        read in place from the stored states: consecutive snapshots, as many
+        as ``_SERIES_BLOCK`` elements of the subtree's leaves hold, take one
+        root-path product and one level reduction.  Grid index 0 reads the
+        base flow.
         """
         n = self.depth
         out = np.empty((self.n_snapshots, len(vertices)))
-        initial = self.snapshot_indices == 0
-        later = np.nonzero(~initial)[0]
+        # only the first stored snapshot can be at grid index 0
+        first = int(np.count_nonzero(self.snapshot_indices == 0))
         for c, v in enumerate(vertices):
             if v.depth > n:
                 raise ValueError(f"vertex depth {v.depth} exceeds path depth {n}")
-            slices = _level_slices(n, v)
             sub = self.base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
-            # a block row holds the sliced states back to back, level by
-            # level (none at depth 0)
-            gather = np.concatenate([np.arange(0)] + [np.arange(sl.start, sl.stop) for sl in slices])
-            block_slices = []
-            for sl in slices:
-                lo = block_slices[-1].stop if block_slices else 0
-                block_slices.append(slice(lo, lo + sl.stop - sl.start))
-            for block in _blocks(len(later), len(gather), _SERIES_BLOCK):
-                chunk = later[block]
-                # the block is passed on, not kept, so it is freed as soon
-                # as its leaf masses are made
-                leaves = _leaf_masses(
-                    sub, _gather_rows([self._cum[i] for i in chunk], gather), block_slices
-                )
-                out[chunk, c] = _levels_from_leaves(leaves)[0][:, 0]
-            out[initial, c] = self.base.mass(v)
+            out[:first, c] = self.base.mass(v)
+            for block in _blocks(self.n_snapshots - first, len(sub), _SERIES_BLOCK):
+                rows = slice(first + block.start, first + block.stop)
+                leaves = _leaf_masses(sub, self._cum[rows], _level_slices(n, v))
+                out[rows, c] = _levels_from_leaves(leaves)[0][:, 0]
         return out
 
     def index_of_time(self, t):
@@ -445,11 +424,12 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
     base = truncate(base, depth)
     want = _resolve_snapshot_indices(grid, snapshot_times)
 
-    want_set = set(int(i) for i in want)
-    states = enumerate(_evolve(spec, [seed], np.diff(grid), depth))
-    stored = [state[0].copy() for j, state in states if j in want_set]
-    for a in stored:
-        a.flags.writeable = False
+    stored = np.empty((len(want), _flat_size(depth)))
+    rows = {j: r for r, j in enumerate(want.tolist())}
+    for j, state in enumerate(_evolve(spec, [seed], np.diff(grid), depth)):
+        if j in rows:
+            stored[rows[j]] = state[0]
+    stored.flags.writeable = False
     grid = grid.copy()
     grid.flags.writeable = False
     return CascadePath(
@@ -458,7 +438,7 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
         grid=grid,
         seed=seed,
         snapshot_indices=want,
-        _cum=tuple(stored),
+        _cum=stored,
     )
 
 

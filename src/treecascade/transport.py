@@ -14,11 +14,11 @@ against the distance on the full boundary.
 
 The Hölder distances of a stored path come from one sweep over its
 snapshots in time order: each snapshot a pair reads is materialized
-once, into one level-major buffer, normalized by the root in one
-division, and held as a copy of its 2^n leaf masses only while a later
-pair still reads it; the copy does not keep the buffer alive.  The live
+once, into one level-major buffer, divided by the root into a new
+buffer of its levels 1..n, and held only while a later pair still reads
+it; the held buffer does not keep the materialized one alive.  The live
 set never exceeds the pairs spanning the current snapshot plus one: 32
-leaf arrays (4.2 MB) at most for depth 14 with lags up to 64 over 301
+buffers of 256 KiB at most for depth 14 with lags up to 64 over 301
 snapshots.  The per-level sums, here and in the coupling bound, are
 numpy reductions, not a BLAS dot, so the results are the same at any
 BLAS thread count.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import FLOW_REL_TOL, _levels_from_leaves
+from .tree import FLOW_REL_TOL
 
 __all__ = [
     "TransportResult",
@@ -159,11 +159,6 @@ def _lag_starts(n_times, lag, pair_budget):
     return np.unique(np.linspace(0, n_pairs - 1, k).round().astype(np.int64))
 
 
-def _normalized_into(flat, out):
-    # levels 1..n of a level-major buffer divided by its root
-    np.divide(flat[1:], flat[0], out=out)
-
-
 def holder_distances(path, pair_budget=64, lags=None):
     """Wasserstein distances between stored snapshots at dyadic lags.
 
@@ -173,14 +168,14 @@ def holder_distances(path, pair_budget=64, lags=None):
     pair_budget evenly spaced pairs per lag.
 
     One sweep in time order materializes each snapshot that a pair reads
-    once, through ``path.masses_flat``.  A snapshot that a later pair
-    still reads is held as a copy of its leaf masses alone, which
-    rebuild its levels exactly, and is dropped after its last pair; so
-    the sweep holds at most one leaf array per pair spanning the current
-    snapshot, plus the current one.  Each distance is the per-level sum
-    of the absolute differences of the root-normalized masses, weighted
-    by the edge weight of the level; the sums are numpy reductions, not
-    BLAS, so the result does not depend on the BLAS thread count.
+    once, through ``path.masses_flat``, and holds its levels 1..n
+    divided by its root until its last pair; so the sweep holds at most
+    one normalized buffer per pair spanning the current snapshot, plus
+    the current one (32 buffers of 256 KiB at depth 14 with lags up to
+    64).  Each distance is the per-level sum of the absolute differences
+    of two held buffers, weighted by the edge weight of the level; the
+    sums are numpy reductions, not BLAS, so the result does not depend
+    on the BLAS thread count.
     """
     if pair_budget < 1:
         raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
@@ -219,24 +214,16 @@ def holder_distances(path, pair_budget=64, lags=None):
     n = path.depth
     offsets = (1 << np.arange(1, n + 1)) - 2
     edge_w = 2.0 ** -(np.arange(1, n + 1) + 1.0)
-    current = np.empty((1 << (n + 1)) - 2)
-    diff = np.empty_like(current)
+    diff = np.empty((1 << (n + 1)) - 2)
     held = {}
     for s in sorted(last):
         flat = path.masses_flat(s)
-        if readers[s]:
-            _normalized_into(flat, current)
-        # a copy of the leaves alone, so that no whole buffer stays alive
-        held[s] = flat[-(1 << n) :].copy()
+        # levels 1..n divided by the root: a new array, so the materialized
+        # buffer dies here
+        held[s] = np.divide(flat[1:], flat[0])
         del flat
         for r, c, i in readers[s]:
-            # a stored snapshot's levels are the pairwise sums of its
-            # leaves; the base snapshot's are the base flow's own
-            if path.snapshot_indices[i] == 0:
-                _normalized_into(np.concatenate(path.base.levels), diff)
-            else:
-                _normalized_into(_levels_from_leaves(held[i])[0].base, diff)
-            np.subtract(diff, current, out=diff)
+            np.subtract(held[i], held[s], out=diff)
             np.abs(diff, out=diff)
             dists[r][c] = float(np.sum(np.add.reduceat(diff, offsets) * edge_w))
         for i in released[s]:

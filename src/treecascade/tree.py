@@ -148,6 +148,15 @@ def _freeze(arr):
     return arr
 
 
+def _check_depth(depth):
+    # MAX_DEPTH is read at call time, so raising it takes effect at once
+    if depth > MAX_DEPTH:
+        raise ValueError(
+            f"depth {depth} exceeds MAX_DEPTH={MAX_DEPTH}; "
+            "raise treecascade.tree.MAX_DEPTH to allow deeper trees"
+        )
+
+
 @dataclass(frozen=True)
 class Flow:
     """Immutable depth-n flow; ``levels[k]`` holds the 2^k masses at depth k.
@@ -160,11 +169,7 @@ class Flow:
     levels: tuple
 
     def __post_init__(self):
-        if self.depth > MAX_DEPTH:
-            raise ValueError(
-                f"depth {self.depth} exceeds MAX_DEPTH={MAX_DEPTH}; "
-                "raise treecascade.tree.MAX_DEPTH to allow deeper trees"
-            )
+        _check_depth(self.depth)
 
     @property
     def depth(self):
@@ -266,6 +271,7 @@ def uniform_flow(depth):
     """The uniform flow: mass 2^-k at every depth-k vertex, total mass 1."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    _check_depth(depth)  # before the levels are filled
     return Flow(
         tuple(_freeze(np.full(1 << k, 2.0**-k)) for k in range(depth + 1))
     )
@@ -273,6 +279,7 @@ def uniform_flow(depth):
 
 def single_ray_flow(depth, bits=0, mass=1.0):
     """Point mass on one truncated ray; zero everywhere off its root path."""
+    _check_depth(depth)  # before the levels are filled
     if not 0 <= bits < (1 << depth):
         raise ValueError("bits out of range for depth")
     if mass <= 0:

@@ -265,6 +265,8 @@ def test_composition(
         spec = wp.gaussian_spec()
     base = uniform_flow(depth)
     grid = engine.make_grid(t_end, step)
+    if len(grid) < 2:
+        raise ValueError(f"composition needs at least two grid times, got t_end={t_end}")
     path = engine.simulate_path(base, spec, grid, seed=seed)
 
     def worst_for_start(i):

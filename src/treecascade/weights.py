@@ -107,11 +107,13 @@ def spec_from_config(config):
     if extra:
         raise ValueError(f"unknown config fields {sorted(extra)}")
     kind = config.get("kind")
+    jump = {k: float(v) for k, v in config.items() if k != "kind"}
     if kind == "gaussian":
-        return WeightSpec(kind="gaussian")
+        # WeightSpec rejects jump fields for this kind
+        return WeightSpec(kind="gaussian", **jump)
     if kind == "compound_poisson":
         # a field left out takes its default from compound_poisson_spec
-        return compound_poisson_spec(**{k: float(v) for k, v in config.items() if k != "kind"})
+        return compound_poisson_spec(**jump)
     raise ValueError(f"unknown weight kind {kind!r}")
 
 

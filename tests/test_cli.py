@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from treecascade import cli, verify
+from treecascade import cli, tree, verify
 
 
 def _run(argv):
@@ -118,6 +118,38 @@ class TestConfigHandling:
     def test_gaussian_rejects_jump_flags(self):
         with pytest.raises(SystemExit) as exc:
             _run(["simulate", "--measure", "theta", "--depth", "3", "--t-end", "0.1", "--rate", "2"])
+        assert exc.value.code == 2
+
+    def test_unknown_kind_in_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "foo"}))
+        with pytest.raises(SystemExit) as exc:
+            _run(["simulate", "--config", str(cfg), "--measure", "theta", "--depth", "3", "--t-end", "0.1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jump", [["--rate", "0"], ["--jump-sd", "-1"]])
+    def test_invalid_jump_law_rejected(self, jump):
+        with pytest.raises(SystemExit) as exc:
+            _run(
+                [
+                    "simulate", "--measure", "theta", "--depth", "3", "--t-end", "0.1",
+                    "--kind", "compound_poisson", *jump,
+                ]
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--measure", "theta", "--t-end", "0.1"],
+            ["transport", "--mode", "holder"],
+            ["kpz", "--mode", "box", "--t", "0.1", "--scale-exponents", "2,4"],
+        ],
+    )
+    def test_depth_over_cap_rejected(self, argv, monkeypatch):
+        monkeypatch.setattr(tree, "MAX_DEPTH", 4)
+        with pytest.raises(SystemExit) as exc:
+            _run([*argv, "--depth", "5"])
         assert exc.value.code == 2
 
     def test_bad_tracked_vertex_rejected(self):

@@ -15,6 +15,34 @@ def _digest(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+def _series_case(case):
+    """A stored path and the vertices whose mass series the tests read."""
+    grid = engine.make_grid(0.3, 0.05)
+    leaves = np.random.default_rng(4).random(1 << 6)
+    # correctly rounded block sums: internal masses that differ in the
+    # last bits from pairwise sums, as a flow read from a file may
+    loaded = tree.flow_from_levels(
+        [[math.fsum(b) for b in leaves.reshape(1 << k, -1)] for k in range(7)]
+    )
+    leaves[[0, 5, 6, 63]] = 0.0
+    base, spec, times = {
+        "depth0": (tree.uniform_flow(0), wp.gaussian_spec(), None),
+        "uniform": (tree.uniform_flow(6), wp.gaussian_spec(), None),
+        "zero_leaves": (tree.flow_from_leaves(leaves), wp.compound_poisson_spec(), None),
+        "loaded": (loaded, wp.gaussian_spec(), None),
+        "snapshot_times": (tree.uniform_flow(6), wp.gaussian_spec(), [0.3, 0.0, 0.1]),
+        "no_initial_snapshot": (tree.uniform_flow(5), wp.gaussian_spec(), [0.25, 0.05]),
+        "depth14_blocks": (tree.uniform_flow(14), wp.gaussian_spec(), [0.05, 0.1, 0.2, 0.25, 0.3]),
+    }[case]
+    path = engine.simulate_path(base, spec, grid, seed=9, snapshot_times=times)
+    if base.depth < 14:
+        # every vertex: the root, both depth-1 vertices, the leaves at both ends
+        return path, [tree.Vertex(d, b) for d in range(base.depth + 1) for b in range(1 << d)]
+    # the root's blocks hold four snapshots each, so five split two ways
+    assert engine._SERIES_BLOCK // 2**14 == 4
+    return path, [tree.ROOT, tree.Vertex(14, 12345), tree.Vertex(3, 5)]
+
+
 class TestGrid:
     def test_make_grid_basic(self):
         g = engine.make_grid(0.3, 0.1)
@@ -162,45 +190,25 @@ class TestSimulatePath:
         ],
     )
     def test_vertex_mass_series_bits_match_materialized(self, case):
-        grid = engine.make_grid(0.3, 0.05)
-        leaves = np.random.default_rng(4).random(1 << 6)
-        # correctly rounded block sums: internal masses that differ in the
-        # last bits from pairwise sums, as a flow read from a file may
-        loaded = tree.flow_from_levels(
-            [[math.fsum(b) for b in leaves.reshape(1 << k, -1)] for k in range(7)]
-        )
-        leaves[[0, 5, 6, 63]] = 0.0
-        base, spec, times = {
-            "depth0": (tree.uniform_flow(0), wp.gaussian_spec(), None),
-            "uniform": (tree.uniform_flow(6), wp.gaussian_spec(), None),
-            "zero_leaves": (tree.flow_from_leaves(leaves), wp.compound_poisson_spec(), None),
-            "loaded": (loaded, wp.gaussian_spec(), None),
-            "snapshot_times": (tree.uniform_flow(6), wp.gaussian_spec(), [0.3, 0.0, 0.1]),
-            "no_initial_snapshot": (tree.uniform_flow(5), wp.gaussian_spec(), [0.25, 0.05]),
-            "depth14_blocks": (tree.uniform_flow(14), wp.gaussian_spec(), [0.05, 0.1, 0.2, 0.25, 0.3]),
-        }[case]
-        path = engine.simulate_path(base, spec, grid, seed=9, snapshot_times=times)
-        if base.depth < 14:
-            # every vertex: the root, both depth-1 vertices, the leaves at both ends
-            vs = [tree.Vertex(d, b) for d in range(base.depth + 1) for b in range(1 << d)]
-        else:
-            # the root's blocks hold two snapshots each, so five split three ways
-            assert engine._SERIES_BLOCK // engine._flat_size(14) == 2
-            vs = [tree.ROOT, tree.Vertex(14, 12345), tree.Vertex(3, 5)]
+        path, vs = _series_case(case)
         series = path.vertex_mass_series(vs)
         for i in range(path.n_snapshots):
             flat = path.masses_flat(i)
             want = flat[[(1 << v.depth) - 1 + v.bits for v in vs]]
             assert series[i].tobytes() == want.tobytes()
         with pytest.raises(ValueError):
-            path.vertex_mass_series([tree.Vertex(base.depth + 1, 0)])
+            path.vertex_mass_series([tree.Vertex(path.depth + 1, 0)])
 
-    def test_gather_rows_matches_take(self):
-        states = [np.random.default_rng(k).random(30) for k in range(3)]
-        # a contiguous run (the root's, copied as a slice), a gather and nothing
-        for index in (np.arange(0, 30), np.arange(4, 9), np.array([1, 2, 7, 20]), np.arange(0)):
-            block = engine._gather_rows(states, index)
-            assert block.tobytes() == np.stack([s[index] for s in states]).tobytes()
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("loaded", "925e6509e814b605c2320533aa2455678cff6da762131680fe700743ede43b9e"),
+            ("depth14_blocks", "2923bd00d56c9092ed432df7ea9a40b9c41d202310b214526d346ea739c94e4e"),
+        ],
+    )
+    def test_vertex_mass_series_frozen(self, case, digest):
+        path, vs = _series_case(case)
+        assert _digest(path.vertex_mass_series(vs)) == digest
 
     @pytest.mark.parametrize("depth", [0, 1, 6, 14])
     def test_materialized_layout_matches_repeat_reference(self, depth):

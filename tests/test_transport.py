@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -268,6 +269,21 @@ class TestHolderSweep:
             if path.depth == 0:
                 assert np.all(dists == 0.0)
 
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("depth0", "b6f262e995256c5f3b34fdebcfe2fb9ff7bed1caab8b1568cc869e5ae6e6da38"),
+            ("depth1", "9ba1e635b9b701b906d4aa62eeb55cbd0acaea5a6184e92348563ed0bab42cc4"),
+            ("subset_with_time0", "9b6ad1fe8b46d7b76e6c4302473ec7fb9af0b59175449fa08bc5a4b4ad2d338e"),
+            ("subset_without_time0", "f97926bb82d3727f13522b9863592e3382741edddbad564cf291e0c40494357e"),
+            ("zero_leaves_cp", "38d782b96314cddb7e1634ac4f129cb12eca84da6cc9cdc222434be0fcedee6d"),
+        ],
+    )
+    def test_distances_frozen(self, case, digest):
+        rows = transport.holder_distances(SWEEP_CASES[case]())
+        flat = np.concatenate([np.r_[lag_time, dists] for lag_time, dists in rows])
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
+
     def test_each_paired_snapshot_materialized_once(self, monkeypatch):
         path = _gauss_path(5, 0.4, 0.005)
         lags = (1, 3, 16, 64)
@@ -316,9 +332,9 @@ class TestHolderSweep:
         assert max(checked) > 1
         assert all(ref() is None for ref in refs.values())
 
-    def test_held_leaves_do_not_pin_materialized_buffers(self, monkeypatch):
+    def test_held_buffers_do_not_pin_materialized_buffers(self, monkeypatch):
         # each materialization is one level-major buffer; the sweep holds a
-        # copy of its leaves, so no buffer outlives its own step
+        # new normalized buffer, so no materialized one outlives its own step
         path = _gauss_path(4, 0.5, 0.005, np.arange(1, 101) / 200)
         buffers = []
         mass_levels = engine.CascadePath.mass_levels

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ class TestFlowConstruction:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             tree.uniform_flow(tree.MAX_DEPTH + 1)
+
+    @pytest.mark.parametrize("make", [tree.uniform_flow, tree.single_ray_flow])
+    def test_depth_cap_checked_before_levels_are_filled(self, make, monkeypatch):
+        # the cap is read at call time; filling depth 16 would take 1 MiB
+        monkeypatch.setattr(tree, "MAX_DEPTH", 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="depth 16 exceeds MAX_DEPTH=4"):
+                make(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert make(4).depth == 4
 
     @given(leaves=leaf_arrays())
     def test_conservation_from_leaves(self, leaves):

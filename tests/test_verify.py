@@ -56,6 +56,10 @@ class TestVerdicts:
         assert rep.verdict == verify.PASS
         assert rep.statistic < 1e-12
 
+    def test_composition_needs_two_grid_times(self):
+        with pytest.raises(ValueError, match="at least two grid times"):
+            verify.test_composition(depth=2, t_end=0.0)
+
 
 class TestSuites:
     def test_quick_suite_runs_green(self):

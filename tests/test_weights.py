@@ -33,6 +33,8 @@ class TestSpec:
             assert wp.spec_from_config(wp.spec_to_config(spec)) == spec
         with pytest.raises(ValueError):
             wp.spec_from_config({"kind": "gaussian", "bogus": 1})
+        with pytest.raises(ValueError, match="gaussian kind takes no jump parameters"):
+            wp.spec_from_config({"kind": "gaussian", "rate": 2.0})
 
 
 class TestMoments:
