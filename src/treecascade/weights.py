@@ -107,7 +107,10 @@ def spec_from_config(config):
     if extra:
         raise ValueError(f"unknown config fields {sorted(extra)}")
     kind = config.get("kind")
-    jump = {k: float(v) for k, v in config.items() if k != "kind"}
+    try:
+        jump = {k: float(v) for k, v in config.items() if k != "kind"}
+    except TypeError as exc:  # a list or null, say
+        raise ValueError(f"jump fields must be numbers: {exc}") from None
     if kind == "gaussian":
         # WeightSpec rejects jump fields for this kind
         return WeightSpec(kind="gaussian", **jump)

@@ -120,9 +120,10 @@ class TestConfigHandling:
             _run(["simulate", "--measure", "theta", "--depth", "3", "--t-end", "0.1", "--rate", "2"])
         assert exc.value.code == 2
 
-    def test_unknown_kind_in_config_rejected(self, tmp_path):
+    @pytest.mark.parametrize("law", [{"kind": "foo"}, {"kind": "compound_poisson", "rate": [1]}])
+    def test_bad_weight_law_in_config_rejected(self, law, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "foo"}))
+        cfg.write_text(json.dumps(law))
         with pytest.raises(SystemExit) as exc:
             _run(["simulate", "--config", str(cfg), "--measure", "theta", "--depth", "3", "--t-end", "0.1"])
         assert exc.value.code == 2

@@ -151,6 +151,10 @@ class TestSimulatePath:
         part = engine.simulate_path(base, wp.gaussian_spec(), grid, seed=1, snapshot_times=[0.2])
         assert part.n_snapshots == 1
         assert part.snapshot(0) == full.snapshot(2)
+        # the stored states are one read-only array, a row per stored time
+        assert full._cum.shape == (5, engine._flat_size(3))
+        assert not full._cum.flags.writeable
+        assert part.log_weight_state(0).tobytes() == full._cum[2].tobytes()
         with pytest.raises(ValueError):
             engine.simulate_path(base, wp.gaussian_spec(), grid, seed=1, snapshot_times=[0.15])
 

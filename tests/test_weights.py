@@ -35,6 +35,8 @@ class TestSpec:
             wp.spec_from_config({"kind": "gaussian", "bogus": 1})
         with pytest.raises(ValueError, match="gaussian kind takes no jump parameters"):
             wp.spec_from_config({"kind": "gaussian", "rate": 2.0})
+        with pytest.raises(ValueError, match="jump fields must be numbers"):
+            wp.spec_from_config({"kind": "compound_poisson", "rate": [1]})
 
 
 class TestMoments:
