@@ -4,13 +4,17 @@ For each tree depth the script simulates independent paths of the
 evolving uniform cascade, pools Wasserstein distances between snapshot
 pairs at dyadic lags, and fits log distance against log lag.  The
 slope should sit near 1/2 at every depth once the truncation floor
-2^-depth is well below the typical distances.
+2^-depth is well below the typical distances.  Paths are streamed into
+the distance reader and never stored, so memory does not grow with the
+number of grid times; the process's peak RSS so far is printed to
+stderr after each depth.
 
     python3 scripts/holder_sweep.py --depths 8 10 12 --replicas 8 -o holder.csv
 """
 
 import argparse
 import csv
+import resource
 import sys
 
 from treecascade import engine, transport, tree
@@ -36,12 +40,16 @@ def main(argv=None):
     for depth in args.depths:
         base = tree.uniform_flow(depth)
         seeds = derive_seeds(derive_seed(args.seed, depth), args.replicas)
-        paths = (engine.simulate_path(base, spec, grid, seed=int(s)) for s in seeds)
-        fit = transport.holder_exponent(paths, pair_budget=args.pair_budget)
+        fit = transport.streamed_holder_exponent(base, spec, grid, seeds, pair_budget=args.pair_budget)
         rows.append(
             [depth, repr(fit.slope), repr(fit.slope_se), repr(fit.r_squared), fit.n_pairs]
         )
-        print(f"depth {depth}: slope {fit.slope:.4f} +- {fit.slope_se:.4f}", file=sys.stderr)
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(
+            f"depth {depth}: slope {fit.slope:.4f} +- {fit.slope_se:.4f}, peak RSS {peak_mb:.0f} MB",
+            file=sys.stderr,
+        )
 
     with open(args.output, "w", newline="") as fh:
         w = csv.writer(fh)

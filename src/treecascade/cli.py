@@ -437,10 +437,9 @@ def _cmd_transport(cfg, parser):
     if int(cfg["pair_budget"]) < 1:
         parser.error("--pair-budget must be >= 1")
     seeds = derive_seeds(int(cfg["seed"]), replicas)
-    paths = (
-        engine.simulate_path(base, spec, grid, seed=int(seeds[r])) for r in range(replicas)
+    fit = transport.streamed_holder_exponent(
+        base, spec, grid, seeds, pair_budget=int(cfg["pair_budget"])
     )
-    fit = transport.holder_exponent(paths, pair_budget=int(cfg["pair_budget"]))
     doc = {
         "slope": fit.slope,
         "intercept": fit.intercept,

@@ -29,10 +29,14 @@ holds the one implementation of that root-path product; it works on the
 last axis, so ``verify`` and ``observables`` hand it whole (R, size)
 replica batches, and ``tree`` holds the one level reduction.  A
 materialized snapshot is one level-major buffer of 2^(n+1) - 1 masses
-(``CascadePath.masses_flat``); its levels are views of that buffer.  A
-path stores its snapshots' log-states as the rows of one read-only
-(T, 2^(n+1) - 2) array and computes its per-snapshot summaries (root
-mass, overlap, deepest-level share) once, in one sweep, for every reader.
+(``CascadePath.masses_flat``); its levels are views of that buffer.
+
+``stream_path`` evolves one path up to its last wanted step and hands
+each wanted step, in time order, to readers; ``simulate_path`` is that
+sweep with a storage reader, which fills the rows of one read-only
+(T, 2^(n+1) - 2) array.  A stored path feeds its rows to the same
+readers, so its summaries (``SnapshotSummaries``) and Hölder distances
+(``transport.HolderPairs``) match a streamed path's bit for bit.
 A vertex mass series reads only the vertex's root path and subtree, in
 the same order of operations, so it matches the full snapshot bit for
 bit; it reads those states in place from a block of consecutive rows at
@@ -42,6 +46,7 @@ block.
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +65,12 @@ from . import weights as wp
 
 __all__ = [
     "CascadePath",
+    "SnapshotSummaries",
     "ConvergenceRow",
     "ConvergenceReport",
     "cascade_static",
     "simulate_path",
+    "stream_path",
     "compose",
     "compose_from_path",
     "convergence_probe",
@@ -81,6 +88,10 @@ _REPLICA_BLOCK = 1 << 18
 # step of ``CascadePath.vertex_mass_series`` reduces (512 KiB of float64):
 # four snapshots for the root at depth 14.
 _SERIES_BLOCK = 1 << 16
+
+
+# Largest stored state, in bytes, that ``simulate_path`` allocates: physical memory
+_STORED_STATE_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # Largest level, in elements, that ``_logx_levels`` widens with two strided
@@ -165,6 +176,13 @@ def _mass_levels(base, cum):
     return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
+def _masses_flat(base, cum, grid_index):
+    # grid index 0 holds the base flow's own levels
+    if grid_index == 0:
+        return np.concatenate(base.levels)
+    return _mass_levels(base, cum)[0].base
+
+
 def _evolve(spec, seeds, durations, depth, first_step=1):
     """Yield the (len(seeds), size) log-state, zero at first, and after each duration.
 
@@ -205,6 +223,44 @@ def _overlap_from_flat(flat):
     for share in shares[1:]:
         q += share
     return q, shares[-1]
+
+
+def _feed(readers, i, state, materialize):
+    # the first reader that asks materializes the masses; the rest share them
+    masses = functools.cache(materialize)
+    for reader in readers:
+        reader.read(i, state, masses)
+
+
+def _read_stored(path, readers):
+    """Feed a stored path's rows to readers, materialized by ``masses_flat``."""
+    for i in range(path.n_snapshots):
+        _feed(readers, i, path._cum[i], functools.partial(path.masses_flat, i))
+
+
+class _StoredRows:
+    """Storage reader of the log-states into ``rows``, at most ``_STORED_STATE_LIMIT`` bytes."""
+
+    def __init__(self, n_snapshots, size):
+        nbytes = n_snapshots * size * 8
+        if nbytes > _STORED_STATE_LIMIT:
+            raise MemoryError(f"stored states: {nbytes} bytes > limit {_STORED_STATE_LIMIT}")
+        self.rows = np.empty((n_snapshots, size))
+
+    def read(self, i, state, masses):
+        self.rows[i] = state
+
+
+class SnapshotSummaries:
+    """Reader of each snapshot's root mass, overlap and deepest-level share: rows of ``values``."""
+
+    def __init__(self, n_snapshots):
+        self.values = np.empty((3, n_snapshots))
+
+    def read(self, i, state, masses):
+        flat = masses()
+        self.values[0, i] = flat[0]
+        self.values[1:, i] = _overlap_from_flat(flat)
 
 
 def make_grid(t_end, step):
@@ -262,8 +318,8 @@ class CascadePath:
     of one read-only (T, 2^(n+1) - 2) array.  Snapshots are materialized
     lazily from them; ``snapshot(0)`` returns the base flow itself.
     Per-snapshot summaries (root mass, overlap, deepest-level share) are
-    computed by the first call that needs them, in one sweep over the
-    snapshots, and kept.
+    computed by the first call that needs them, by ``SnapshotSummaries``
+    over the stored rows, and kept.
     """
 
     base: Flow
@@ -297,9 +353,7 @@ class CascadePath:
         ``masses_flat`` returns; at grid index 0 it holds the base flow's
         own levels.
         """
-        if self.snapshot_indices[i] == 0:
-            return _level_views(np.concatenate(self.base.levels))
-        return _mass_levels(self.base, self._cum[i])
+        return _level_views(_masses_flat(self.base, self._cum[i], self.snapshot_indices[i]))
 
     def masses_flat(self, i):
         """All masses at snapshot i, level-major; vertex v sits at 2^|v| - 1 + bits.
@@ -327,18 +381,13 @@ class CascadePath:
         """(root masses, overlaps, deepest-level shares) at every stored snapshot.
 
         Read-only arrays of length ``n_snapshots``; each snapshot is
-        materialized once, by the first call, for all three.  The overlap
-        is ``observables.overlap`` of the snapshot; the deepest-level
-        share is its deepest level's term.
+        materialized once, by the first call, for all three.
         """
         if self._summaries is None:
-            summaries = np.empty((3, self.n_snapshots))
-            for i in range(self.n_snapshots):
-                flat = self.masses_flat(i)
-                summaries[0, i] = flat[0]
-                summaries[1:, i] = _overlap_from_flat(flat)
-            summaries.flags.writeable = False
-            object.__setattr__(self, "_summaries", tuple(summaries))
+            summaries = SnapshotSummaries(self.n_snapshots)
+            _read_stored(self, [summaries])
+            summaries.values.flags.writeable = False
+            object.__setattr__(self, "_summaries", tuple(summaries.values))
         return self._summaries
 
     def root_masses(self):
@@ -369,26 +418,49 @@ class CascadePath:
                 out[rows, c] = _levels_from_leaves(leaves)[0][:, 0]
         return out
 
-    def index_of_time(self, t):
-        """Stored snapshot index whose grid time equals t (within 1e-12)."""
-        times = self.times
-        hits = np.nonzero(np.abs(times - t) <= 1e-12 * max(1.0, abs(t)))[0]
-        if len(hits) != 1:
-            raise ValueError(f"time {t!r} is not a stored snapshot time")
-        return int(hits[0])
+
+def _path_frame(base, grid, depth, snapshot_times):
+    # (truncated base, read-only grid, wanted grid indices), checked
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or len(grid) == 0 or grid[0] != 0.0:
+        raise ValueError("grid must start at 0")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    if depth is None:
+        depth = base.depth
+    if not 0 <= depth <= base.depth:
+        raise ValueError("depth must be between 0 and base.depth")
+    grid = grid.copy()
+    grid.flags.writeable = False
+    want = np.arange(len(grid))
+    if snapshot_times is not None:
+        idx = []
+        for t in snapshot_times:
+            hits = np.nonzero(np.abs(grid - t) <= 1e-12 * max(1.0, abs(t)))[0]
+            if len(hits) != 1:
+                raise ValueError(f"snapshot time {t!r} is not on the grid")
+            idx.append(int(hits[0]))
+        want = np.array(sorted(set(idx)), dtype=np.int64)
+    return truncate(base, depth), grid, want
 
 
-def _resolve_snapshot_indices(grid, snapshot_times):
-    if snapshot_times is None:
-        return np.arange(len(grid))
-    idx = []
-    for t in snapshot_times:
-        hits = np.nonzero(np.abs(grid - t) <= 1e-12 * max(1.0, abs(t)))[0]
-        if len(hits) != 1:
-            raise ValueError(f"snapshot time {t!r} is not on the grid")
-        idx.append(int(hits[0]))
-    idx = sorted(set(idx))
-    return np.array(idx, dtype=np.int64)
+def _sweep(base, spec, grid, want, seed, readers):
+    # keyed draws: stopping at the last wanted step changes no earlier one
+    rows = {j: r for r, j in enumerate(want.tolist())}
+    durations = np.diff(grid[: max(rows, default=0) + 1])
+    for j, state in enumerate(_evolve(spec, [seed], durations, base.depth)):
+        if j in rows:
+            _feed(readers, rows[j], state[0], functools.partial(_masses_flat, base, state[0], j))
+
+
+def stream_path(base, spec, grid, readers, depth=None, seed=0, snapshot_times=None):
+    """Evolve the path ``simulate_path`` would, storing nothing, for readers.
+
+    At the i-th wanted time each reader's ``read(i, state, masses)`` gets
+    the log-state and a callable that returns the ``masses_flat`` buffer,
+    made once for all readers; both live only for the call."""
+    base, grid, want = _path_frame(base, grid, depth, snapshot_times)
+    _sweep(base, spec, grid, want, seed, readers)
 
 
 def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
@@ -411,34 +483,20 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
     Returns
     -------
     CascadePath
+        Raises MemoryError, before any draw, if the states would not fit
+        in the machine's physical memory.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or len(grid) == 0 or grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if depth is None:
-        depth = base.depth
-    if not 0 <= depth <= base.depth:
-        raise ValueError("depth must be between 0 and base.depth")
-    base = truncate(base, depth)
-    want = _resolve_snapshot_indices(grid, snapshot_times)
-
-    stored = np.empty((len(want), _flat_size(depth)))
-    rows = {j: r for r, j in enumerate(want.tolist())}
-    for j, state in enumerate(_evolve(spec, [seed], np.diff(grid), depth)):
-        if j in rows:
-            stored[rows[j]] = state[0]
-    stored.flags.writeable = False
-    grid = grid.copy()
-    grid.flags.writeable = False
+    base, grid, want = _path_frame(base, grid, depth, snapshot_times)
+    storage = _StoredRows(len(want), _flat_size(base.depth))
+    _sweep(base, spec, grid, want, seed, [storage])
+    storage.rows.flags.writeable = False
     return CascadePath(
         base=base,
         spec=spec,
         grid=grid,
         seed=seed,
         snapshot_indices=want,
-        _cum=stored,
+        _cum=storage.rows,
     )
 
 

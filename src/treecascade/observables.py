@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _evolve, _leaf_masses, _level_slices, _overlap_from_flat, _replica_blocks
+from .engine import SnapshotSummaries, _evolve, _leaf_masses, _level_slices, _overlap_from_flat
+from .engine import _replica_blocks, stream_path
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -32,6 +33,7 @@ __all__ = [
     "overlap_series",
     "path_observables",
     "realized_vs_predicted_qv",
+    "streamed_qv",
     "bracket_rate",
     "empirical_bracket",
     "explosion_monitor",
@@ -54,8 +56,8 @@ class OverlapSeries:
     tail_flag: bool
 
 
-def _require_gaussian(path, what):
-    if path.spec.kind != wp.GAUSSIAN:
+def _require_gaussian(spec, what):
+    if spec.kind != wp.GAUSSIAN:
         raise ValueError(f"{what} assumes the continuous weight kind")
 
 
@@ -72,10 +74,13 @@ def path_observables(path):
     """(times, root_mass, overlap, cum_qv) arrays over stored snapshots;
     cum_qv is the running sum of squared log root-mass increments."""
     roots, q, _ = path.snapshot_summaries()
-    roots, q = roots.copy(), q.copy()
+    return path.times.copy(), roots.copy(), q.copy(), _cum_qv(roots)
+
+
+def _cum_qv(roots):
     cum_qv = np.zeros_like(roots)
     np.cumsum(np.diff(np.log(roots)) ** 2, out=cum_qv[1:])
-    return path.times.copy(), roots, q, cum_qv
+    return cum_qv
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,21 @@ class QvComparison:
 
 def realized_vs_predicted_qv(path):
     """Realized squared log root increments against the integrated overlap."""
-    _require_gaussian(path, "quadratic variation comparison")
-    times, roots, q, cum_qv = path_observables(path)
-    realized = float(cum_qv[-1])
+    _require_gaussian(path.spec, "quadratic variation comparison")
+    return _qv_comparison(path.times, *path.snapshot_summaries()[:2])
+
+
+def streamed_qv(base, spec, grid, seed=0):
+    """``realized_vs_predicted_qv`` of ``simulate_path(base, spec, grid, seed=seed)``,
+    bit for bit, from ``engine.stream_path``: nothing stored."""
+    _require_gaussian(spec, "quadratic variation comparison")
+    summaries = SnapshotSummaries(len(grid))
+    stream_path(base, spec, grid, [summaries], seed=seed)
+    return _qv_comparison(np.asarray(grid, dtype=np.float64), *summaries.values[:2])
+
+
+def _qv_comparison(times, roots, q):
+    realized = float(_cum_qv(roots)[-1])
     predicted = float(np.sum(q[:-1] * np.diff(times)))
     if predicted == 0.0:
         rel_err = 0.0 if realized == 0.0 else math.inf
@@ -136,7 +153,7 @@ def explosion_monitor(path, mass_ratio=1e-6, integral_threshold=10.0):
     qualitative by construction, since the true divergence criterion is
     invisible at finite depth.
     """
-    _require_gaussian(path, "explosion monitoring")
+    _require_gaussian(path.spec, "explosion monitoring")
     times, roots, q, _ = path_observables(path)
     cum = np.zeros_like(q)
     if len(times) > 1:

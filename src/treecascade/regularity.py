@@ -38,7 +38,6 @@ __all__ = [
     "lifetime",
     "regularity_report",
     "report_to_json",
-    "report_from_json",
     "report_curves_csv",
 ]
 
@@ -278,21 +277,6 @@ def regularity_report(measure, spec, t, h_grid=None, max_depth=None):
     )
 
 
-def _encode_extended(x):
-    # JSON has no infinities; use a string marker.
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _decode_extended(x):
-    if x == "inf":
-        return math.inf
-    if x == "-inf":
-        return -math.inf
-    return float(x)
-
-
 def report_to_json(report):
     doc = {
         "measure": report.measure,
@@ -300,29 +284,14 @@ def report_to_json(report):
         "t": report.t,
         "pressure_samples": [[h, v] for h, v in report.pressure_samples],
         "alpha_samples": [[h, v] for h, v in report.alpha_samples],
-        "h_t": _encode_extended(report.h_t),
+        # JSON has no infinities: "inf" or "-inf" stands for one
+        "h_t": str(report.h_t) if math.isinf(report.h_t) else report.h_t,
         "lifetime": report.lifetime,
         "classification": report.classification,
         "derivative_estimate": report.derivative_estimate,
         "fit_residual": report.fit_residual,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def report_from_json(text):
-    doc = json.loads(text)
-    return RegularityReport(
-        measure=doc["measure"],
-        spec=wp.spec_from_config(doc["spec"]),
-        t=float(doc["t"]),
-        pressure_samples=tuple((float(h), float(v)) for h, v in doc["pressure_samples"]),
-        alpha_samples=tuple((float(h), float(v)) for h, v in doc["alpha_samples"]),
-        h_t=_decode_extended(doc["h_t"]),
-        lifetime=float(doc["lifetime"]),
-        classification=doc["classification"],
-        derivative_estimate=float(doc["derivative_estimate"]),
-        fit_residual=float(doc["fit_residual"]),
-    )
 
 
 def report_curves_csv(report):

@@ -12,24 +12,25 @@ the mass imbalance that must cross each edge.  An explicit LP oracle at
 small depth certifies the formula; both carry a 2^(-n) truncation bound
 against the distance on the full boundary.
 
-The Hölder distances of a stored path come from one sweep over its
-snapshots in time order: each snapshot a pair reads is materialized
-once, into one level-major buffer, divided by the root into a new
-buffer of its levels 1..n, and held only while a later pair still reads
-it; the held buffer does not keep the materialized one alive.  The live
-set never exceeds the pairs spanning the current snapshot plus one: 32
-buffers of 256 KiB at most for depth 14 with lags up to 64 over 301
-snapshots.  The per-level sums, here and in the coupling bound, are
-numpy reductions, not a BLAS dot, so the results are the same at any
-BLAS thread count.
+Hölder distances come from one reader, ``HolderPairs``, fed a path's
+snapshots in time order, by ``engine.stream_path`` or by a stored
+path's rows.  Each snapshot a pair reads is materialized once, divided
+by the root into a new buffer of its levels 1..n, and held only while a
+later pair still reads it; the live set never exceeds the pairs
+spanning the current snapshot plus one: 32 buffers of 256 KiB at most
+for depth 14 with lags up to 64 over 301 snapshots.  The per-level
+sums, here and in the coupling bound, are numpy reductions, not a BLAS
+dot, so the results are the same at any BLAS thread count.
 """
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .tree import FLOW_REL_TOL
 
 __all__ = [
@@ -38,9 +39,11 @@ __all__ = [
     "wasserstein_exact",
     "wasserstein_lp_oracle",
     "coupling_upper_bound",
+    "HolderPairs",
     "holder_lags",
     "holder_distances",
     "holder_exponent",
+    "streamed_holder_exponent",
 ]
 
 LP_MAX_DEPTH = 8
@@ -159,76 +162,74 @@ def _lag_starts(n_times, lag, pair_budget):
     return np.unique(np.linspace(0, n_pairs - 1, k).round().astype(np.int64))
 
 
-def holder_distances(path, pair_budget=64, lags=None):
-    """Wasserstein distances between stored snapshots at dyadic lags.
+class HolderPairs:
+    """Reader of the Wasserstein distances between snapshots at dyadic lags.
 
-    The stored snapshot times must be uniformly spaced, and every lag
-    must be an integer at least 1 and below the number of stored
-    snapshots.  Returns a list of (lag_time, distances) with up to
-    pair_budget evenly spaced pairs per lag.
-
-    One sweep in time order materializes each snapshot that a pair reads
-    once, through ``path.masses_flat``, and holds its levels 1..n
-    divided by its root until its last pair; so the sweep holds at most
-    one normalized buffer per pair spanning the current snapshot, plus
-    the current one (32 buffers of 256 KiB at depth 14 with lags up to
-    64).  Each distance is the per-level sum of the absolute differences
-    of two held buffers, weighted by the edge weight of the level; the
-    sums are numpy reductions, not BLAS, so the result does not depend
-    on the BLAS thread count.
+    ``times``, those of the snapshots it reads, must be uniformly spaced,
+    and every lag an integer in [1, len(times)).  ``distances`` is a list
+    of (lag_time, distances), up to pair_budget evenly spaced pairs a lag.
     """
-    if pair_budget < 1:
-        raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
-    times = path.times
-    n_times = len(times)
-    if n_times < 3:
-        raise ValueError("need at least 3 stored snapshots")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):
-        raise ValueError("stored snapshots must be uniformly spaced")
-    lags = list(holder_lags(n_times) if lags is None else lags)
-    for lag in lags:
-        if int(lag) != lag or not 1 <= lag < n_times:
-            raise ValueError(
-                f"lag {lag} must be an integer in [1, {n_times - 1}] for {n_times} stored snapshots"
-            )
-    lags = [int(lag) for lag in lags]
 
-    # pairs (i, i + lag) keyed by their later snapshot; each snapshot's last reader
-    readers = defaultdict(list)
-    last = {}
-    dists = []
-    for r, lag in enumerate(lags):
-        starts = _lag_starts(n_times, lag, pair_budget)
-        dists.append(np.empty(len(starts)))
-        for c, i in enumerate(starts.tolist()):
-            j = i + lag
-            readers[j].append((r, c, i))
-            last[i] = max(last.get(i, i), j)
-            last.setdefault(j, j)
-    released = defaultdict(list)
-    for i, j in last.items():
-        released[j].append(i)
+    def __init__(self, times, depth, pair_budget=64, lags=None):
+        if pair_budget < 1:
+            raise ValueError(f"pair_budget must be at least 1, got {pair_budget}")
+        times = np.asarray(times, dtype=np.float64)
+        n_times = len(times)
+        if n_times < 3:
+            raise ValueError("need at least 3 stored snapshots")
+        steps = np.diff(times)
+        dt = float(steps[0])
+        if np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):
+            raise ValueError("stored snapshots must be uniformly spaced")
+        lags = list(holder_lags(n_times) if lags is None else lags)
+        for lag in lags:
+            if int(lag) != lag or not 1 <= lag < n_times:
+                raise ValueError(
+                    f"lag {lag} must be an integer in [1, {n_times - 1}] for {n_times} stored snapshots"
+                )
+        lags = [int(lag) for lag in lags]
 
-    n = path.depth
-    offsets = (1 << np.arange(1, n + 1)) - 2
-    edge_w = 2.0 ** -(np.arange(1, n + 1) + 1.0)
-    diff = np.empty((1 << (n + 1)) - 2)
-    held = {}
-    for s in sorted(last):
-        flat = path.masses_flat(s)
-        # levels 1..n divided by the root: a new array, so the materialized
-        # buffer dies here
+        # pairs (i, i + lag) keyed by their later snapshot; each snapshot's last reader
+        self._pairs = defaultdict(list)
+        self._last = last = {}
+        self.distances = []
+        for r, lag in enumerate(lags):
+            starts = _lag_starts(n_times, lag, pair_budget)
+            self.distances.append((lag * dt, np.empty(len(starts))))
+            for c, i in enumerate(starts.tolist()):
+                j = i + lag
+                self._pairs[j].append((r, c, i))
+                last[i] = max(last.get(i, i), j)
+                last.setdefault(j, j)
+
+        self._offsets = (1 << np.arange(1, depth + 1)) - 2
+        self._edge_w = 2.0 ** -(np.arange(1, depth + 1) + 1.0)
+        self._diff = np.empty((1 << (depth + 1)) - 2)
+        self.held = {}
+
+    def read(self, s, state, masses):
+        held, diff, last = self.held, self._diff, self._last
+        if s not in last:
+            return  # no pair reads snapshot s
+        flat = masses()
+        # levels 1..n divided by the root: a new array, so no materialized
+        # buffer outlives its step
         held[s] = np.divide(flat[1:], flat[0])
-        del flat
-        for r, c, i in readers[s]:
+        for r, c, i in self._pairs[s]:
             np.subtract(held[i], held[s], out=diff)
             np.abs(diff, out=diff)
-            dists[r][c] = float(np.sum(np.add.reduceat(diff, offsets) * edge_w))
-        for i in released[s]:
+            sums = np.add.reduceat(diff, self._offsets)
+            self.distances[r][1][c] = float(np.sum(sums * self._edge_w))
+        for i in [i for i in held if last[i] == s]:
             del held[i]
-    return [(lag * dt, d) for lag, d in zip(lags, dists)]
+
+
+def holder_distances(path, pair_budget=64, lags=None):
+    """``HolderPairs.distances`` of a stored path: each snapshot a pair reads
+    is materialized once, through ``path.masses_flat``."""
+    pairs = HolderPairs(path.times, path.depth, pair_budget, lags)
+    engine._read_stored(path, [pairs])
+    return pairs.distances
 
 
 def holder_exponent(paths, pair_budget=64, lags=None):
@@ -240,14 +241,33 @@ def holder_exponent(paths, pair_budget=64, lags=None):
     """
     if hasattr(paths, "masses_flat"):
         paths = [paths]
+    distances = functools.partial(holder_distances, pair_budget=pair_budget, lags=lags)
+    # map holds no path past its call, so a generator can free each path
+    # before it simulates the next
+    return _pooled_fit(map(distances, paths))
+
+
+def streamed_holder_exponent(base, spec, grid, seeds, pair_budget=64, lags=None):
+    """``holder_exponent`` of ``simulate_path(base, spec, grid, seed=s)`` for s
+    in ``seeds``, bit for bit, from ``engine.stream_path``: nothing stored."""
+
+    def distances():
+        for seed in seeds:
+            pairs = HolderPairs(grid, base.depth, pair_budget, lags)
+            engine.stream_path(base, spec, grid, [pairs], seed=int(seed))
+            yield pairs.distances
+
+    return _pooled_fit(distances())
+
+
+def _pooled_fit(per_path):
+    # the fit of ``holder_exponent`` over per-path lists of (lag_time, distances)
     pooled = {}
     n_pairs = 0
-    for path in paths:
-        for lag_time, dists in holder_distances(path, pair_budget, lags):
+    for rows in per_path:
+        for lag_time, dists in rows:
             pooled.setdefault(lag_time, []).append(dists)
             n_pairs += len(dists)
-        # free the finished path before the iterator simulates the next one
-        del path
     lag_times = []
     med_log = []
     for lag_time in sorted(pooled):
@@ -257,27 +277,19 @@ def holder_exponent(paths, pair_budget=64, lags=None):
             continue
         lag_times.append(lag_time)
         med_log.append(float(np.median(np.log(d))))
-    if len(lag_times) < 2:
-        return HolderFit(
-            slope=math.nan,
-            intercept=math.nan,
-            slope_se=math.nan,
-            r_squared=math.nan,
-            lag_times=tuple(lag_times),
-            median_log_distance=tuple(med_log),
-            n_pairs=n_pairs,
-            degenerate=True,
-        )
-    x = np.log(np.array(lag_times))
-    y = np.array(med_log)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    dof = len(x) - 2
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    slope_se = math.sqrt(ss_res / dof / sxx) if dof > 0 else math.nan
+    degenerate = len(lag_times) < 2
+    slope = intercept = slope_se = r_squared = math.nan
+    if not degenerate:
+        x = np.log(np.array(lag_times))
+        y = np.array(med_log)
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        ss_res = float(np.sum(resid**2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+        dof = len(x) - 2
+        sxx = float(np.sum((x - x.mean()) ** 2))
+        slope_se = math.sqrt(ss_res / dof / sxx) if dof > 0 else math.nan
     return HolderFit(
         slope=float(slope),
         intercept=float(intercept),
@@ -286,5 +298,5 @@ def holder_exponent(paths, pair_budget=64, lags=None):
         lag_times=tuple(lag_times),
         median_log_distance=tuple(med_log),
         n_pairs=n_pairs,
-        degenerate=False,
+        degenerate=degenerate,
     )

@@ -24,7 +24,6 @@ __all__ = [
     "FLOW_REL_TOL",
     "MAX_DEPTH",
     "Vertex",
-    "Ray",
     "ROOT",
     "Flow",
     "FlowValidation",
@@ -37,7 +36,6 @@ __all__ = [
     "truncate",
     "restrict",
     "common_ancestor_depth",
-    "ray_distance",
     "flat_index",
     "sample_ray",
     "sample_rays",
@@ -109,8 +107,6 @@ class Vertex:
         return (self.bits >> (self.depth - generation)) & 1
 
 
-Ray = Vertex
-
 ROOT = Vertex(0, 0)
 
 
@@ -121,18 +117,6 @@ def common_ancestor_depth(u, v):
     pv = v.bits >> (v.depth - m)
     x = pu ^ pv
     return m - x.bit_length()
-
-
-def ray_distance(xi, eta):
-    """Ultrametric distance 2^-(meeting depth) between equal-depth rays.
-
-    Identical truncated rays return 2^-depth, the resolution of the
-    truncation, rather than 0: at depth n the rays are only known to agree
-    on their first n bits.
-    """
-    if xi.depth != eta.depth:
-        raise ValueError("rays must have equal depth")
-    return 2.0 ** -common_ancestor_depth(xi, eta)
 
 
 def flat_index(v):
@@ -381,7 +365,7 @@ def sample_ray(f, rng):
             raise ValueError(f"zero-mass vertex encountered at ({k},{bits})")
         p_left = f.levels[k + 1][2 * bits] / parent
         bits = 2 * bits + (rng.random() >= p_left)
-    return Ray(f.depth, int(bits))
+    return Vertex(f.depth, int(bits))
 
 
 def sample_rays(f, size, rng):

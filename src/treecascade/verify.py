@@ -346,10 +346,7 @@ def test_holder_slope(
     base = uniform_flow(depth)
     grid = engine.make_grid(t_end, step)
     seeds = derive_seeds(seed, replicas)
-    paths = (
-        engine.simulate_path(base, spec, grid, seed=int(seeds[r])) for r in range(replicas)
-    )
-    fit = transport.holder_exponent(paths, pair_budget=pair_budget)
+    fit = transport.streamed_holder_exponent(base, spec, grid, seeds, pair_budget=pair_budget)
     lo, hi = bounds
     ok = (not fit.degenerate) and lo <= fit.slope <= hi
     return TestReport(
@@ -379,12 +376,7 @@ def test_qv_agreement(
     base = uniform_flow(depth)
     grid = engine.make_grid(t_end, step)
     seeds = derive_seeds(seed, replicas)
-
-    def one(r):
-        path = engine.simulate_path(base, spec, grid, seed=int(seeds[r]))
-        return observables.realized_vs_predicted_qv(path).rel_err
-
-    rels = [one(r) for r in range(replicas)]
+    rels = [observables.streamed_qv(base, spec, grid, seed=int(s)).rel_err for s in seeds]
     stat = float(np.mean(rels))
     return TestReport(
         test_name="qv_agreement",

@@ -14,12 +14,12 @@ Both have every real moment finite.  E[W_t log W_t] = t kappa'(1) >= 0 by
 Jensen (strictly positive for nondegenerate weights); for the Gaussian kind
 it equals t/2.
 
-Sampling is addressed by ``VertexNoiseKey`` (seed, vertex, step index):
-identical keys give identical increments, distinct keys independent ones.
+Every increment is addressed by (seed, vertex, step index): identical
+addresses give identical increments, distinct ones independent ones.
 Every draw runs through one code path, ``log_increments_multi``, for a
-batch of seeds: ``log_increments`` is one row of it and
-``sample_increment`` one entry, so single-draw reproduction of any
-simulated increment is exact.  ``engine._evolve`` passes it an increments
+batch of seeds and a range of vertices in level-major flat order:
+``log_increments`` is one row of it, and a one-vertex range reproduces
+any simulated increment exactly.  ``engine._evolve`` passes it an increments
 buffer and, for compound Poisson, a lane buffer that every step of an
 evolution reuses.
 """
@@ -30,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri, pdtr
 
-from .tree import Vertex, flat_index
 from . import rng
 
 __all__ = [
     "GAUSSIAN",
     "COMPOUND_POISSON",
     "WeightSpec",
-    "VertexNoiseKey",
     "gaussian_spec",
     "compound_poisson_spec",
     "spec_from_config",
@@ -45,7 +43,6 @@ __all__ = [
     "moment",
     "log_moment",
     "w_log_w",
-    "sample_increment",
     "log_increments",
     "log_increments_multi",
 ]
@@ -76,21 +73,6 @@ class WeightSpec:
                 raise ValueError("compound_poisson requires jump_mean")
         elif self.rate is not None or self.jump_mean is not None or self.jump_sd is not None:
             raise ValueError("gaussian kind takes no jump parameters")
-
-
-@dataclass(frozen=True)
-class VertexNoiseKey:
-    """Address of one increment draw: (seed, vertex, step index)."""
-
-    seed: int
-    vertex: Vertex
-    step_index: int
-
-    def __post_init__(self):
-        if self.vertex.depth == 0:
-            raise ValueError("the root carries no weight")
-        if self.step_index < 1:
-            raise ValueError("step_index is 1-based")
 
 
 def gaussian_spec():
@@ -259,19 +241,3 @@ def log_increments_multi(
     n_jumps += u
     n_jumps -= duration * lam * (_jump_mgf(spec, 1.0) - 1.0)
     return out
-
-
-def sample_increment(spec, t, s, key):
-    """One weight increment W over (t, t+s], addressed by ``key``.
-
-    Runs the same generation path as the bulk sampler, so the returned
-    value equals the increment any simulation with the same seed applies to
-    ``key.vertex`` at ``key.step_index`` with step duration ``s``.  The
-    built-in kinds have stationary increments, so ``t`` does not enter.
-    """
-    if s < 0:
-        raise ValueError("duration must be nonnegative")
-    if s == 0.0:
-        return 1.0
-    logw = log_increments(spec, s, key.seed, key.step_index, flat_index(key.vertex), 1)
-    return float(np.exp(logw[0]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecascade import engine, observables, tree
+from treecascade import engine, observables, transport, tree
 from treecascade import weights as wp
 from treecascade.rng import derive_seeds
 
@@ -342,12 +342,101 @@ class TestSimulatePath:
             with pytest.raises(ValueError):
                 path.snapshot(1)
 
-    def test_index_of_time(self):
-        base = tree.uniform_flow(2)
-        path = engine.simulate_path(base, wp.gaussian_spec(), engine.make_grid(0.2, 0.1))
-        assert path.index_of_time(0.1) == 1
-        with pytest.raises(ValueError):
-            path.index_of_time(0.05)
+
+def _counted_draws(monkeypatch):
+    """A list that gains one entry per ``log_increments_multi`` call."""
+    calls = []
+    draw = wp.log_increments_multi
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])  # the step index
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(wp, "log_increments_multi", counted)
+    return calls
+
+
+def _stream_case(case):
+    """(base, spec, grid, snapshot times) of a path that the readers see."""
+    leaves = np.random.default_rng(6).random(1 << 5)
+    leaves[::3] = 0.0
+    return {
+        "depth0": (tree.uniform_flow(0), wp.gaussian_spec(), engine.make_grid(0.1, 0.01), None),
+        "without_time0": (
+            tree.uniform_flow(6), wp.gaussian_spec(), engine.make_grid(0.4, 0.01),
+            np.arange(10, 41, 2) / 100,
+        ),
+        # rate * step = 2
+        "dense_compound_poisson": (
+            tree.uniform_flow(5), wp.compound_poisson_spec(rate=40.0, jump_mean=0.0, jump_sd=0.15),
+            engine.make_grid(0.5, 0.05), None,
+        ),
+        "zero_mass_leaves": (
+            tree.flow_from_leaves(leaves), wp.gaussian_spec(), engine.make_grid(0.2, 0.01), None,
+        ),
+    }[case]
+
+
+class TestStreamPath:
+    @pytest.mark.parametrize(
+        "case", ["depth0", "without_time0", "dense_compound_poisson", "zero_mass_leaves"]
+    )
+    def test_readers_match_stored_path(self, case):
+        base, spec, grid, times = _stream_case(case)
+        path = engine.simulate_path(base, spec, grid, seed=11, snapshot_times=times)
+        storage = engine._StoredRows(path.n_snapshots, engine._flat_size(base.depth))
+        summaries = engine.SnapshotSummaries(path.n_snapshots)
+        pairs = transport.HolderPairs(path.times, base.depth, pair_budget=8)
+        readers = [storage, summaries, pairs]
+        engine.stream_path(base, spec, grid, readers, seed=11, snapshot_times=times)
+        assert storage.rows.tobytes() == path._cum.tobytes()
+        assert summaries.values.tobytes() == np.stack(path.snapshot_summaries()).tobytes()
+        stored = transport.holder_distances(path, pair_budget=8)
+        assert [lag for lag, _ in pairs.distances] == [lag for lag, _ in stored]
+        for (_, got), (_, want) in zip(pairs.distances, stored):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_materialization_per_step_for_all_readers(self, monkeypatch):
+        calls = []
+        mass_levels = engine._mass_levels
+
+        def counted(base, cum):
+            calls.append(1)
+            return mass_levels(base, cum)
+
+        monkeypatch.setattr(engine, "_mass_levels", counted)
+        grid = engine.make_grid(0.2, 0.01)
+        readers = [engine.SnapshotSummaries(len(grid)), transport.HolderPairs(grid, 4)]
+        engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, readers, seed=3)
+        # the base flow stands for grid index 0
+        assert len(calls) == len(grid) - 1
+
+    def test_draws_stop_at_last_wanted_step(self, monkeypatch):
+        base, spec, grid = tree.uniform_flow(6), wp.gaussian_spec(), engine.make_grid(0.3, 1e-3)
+        full = engine.simulate_path(base, spec, grid, seed=5)
+        calls = _counted_draws(monkeypatch)
+        part = engine.simulate_path(base, spec, grid, seed=5, snapshot_times=[0.0, 0.002])
+        assert calls == [1, 2]
+        assert part._cum.tobytes() == full._cum[[0, 2]].tobytes()
+
+    def test_stored_state_over_limit_raises_before_drawing(self, monkeypatch):
+        calls = _counted_draws(monkeypatch)
+        monkeypatch.setattr(engine, "_STORED_STATE_LIMIT", 10_500)
+        grid = engine.make_grid(0.1, 0.01)
+        # 11 states of 126 log-weights take 11 088 bytes, 10 take 10 080
+        with pytest.raises(MemoryError, match="stored states: 11088 bytes > limit 10500"):
+            engine.simulate_path(tree.uniform_flow(6), wp.gaussian_spec(), grid, seed=1)
+        assert calls == []
+        path = engine.simulate_path(tree.uniform_flow(6), wp.gaussian_spec(), grid[:10], seed=1)
+        assert path.n_snapshots == 10 and len(calls) == 9
+
+    def test_stream_path_checks_like_simulate_path(self):
+        with pytest.raises(ValueError, match="grid must start at 0"):
+            engine.stream_path(tree.uniform_flow(2), wp.gaussian_spec(), [0.1, 0.2], [])
+        with pytest.raises(ValueError, match="not on the grid"):
+            engine.stream_path(
+                tree.uniform_flow(2), wp.gaussian_spec(), [0.0, 0.1], [], snapshot_times=[0.05]
+            )
 
 
 class TestComposition:

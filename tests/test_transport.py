@@ -190,10 +190,10 @@ def _gauss_path(depth, t_end, step, snapshot_times=None):
     )
 
 
-def _pairs(path, lags, pair_budget=64):
-    lags = transport.holder_lags(path.n_snapshots) if lags is None else lags
+def _pairs(n_snapshots, lags, pair_budget=64):
+    lags = transport.holder_lags(n_snapshots) if lags is None else lags
     return [
-        [(int(i), int(i) + lag) for i in transport._lag_starts(path.n_snapshots, lag, pair_budget)]
+        [(int(i), int(i) + lag) for i in transport._lag_starts(n_snapshots, lag, pair_budget)]
         for lag in lags
     ]
 
@@ -253,7 +253,7 @@ class TestHolderSweep:
     def test_distances_match_exact_transport(self, case):
         path = SWEEP_CASES[case]()
         rows = transport.holder_distances(path, pair_budget=16)
-        pairs = _pairs(path, None, 16)
+        pairs = _pairs(path.n_snapshots, None, 16)
         assert len(rows) == len(pairs)
         dt = path.times[1] - path.times[0]
         for (lag_time, dists), lag_pairs in zip(rows, pairs):
@@ -296,7 +296,7 @@ class TestHolderSweep:
 
         monkeypatch.setattr(engine.CascadePath, "mass_levels", counted)
         transport.holder_distances(path, pair_budget=10, lags=lags)
-        needed = {s for lag_pairs in _pairs(path, lags, 10) for pair in lag_pairs for s in pair}
+        needed = {s for lag_pairs in _pairs(path.n_snapshots, lags, 10) for pair in lag_pairs for s in pair}
         assert needed != set(range(path.n_snapshots))
         assert calls == sorted(needed)
 
@@ -304,7 +304,7 @@ class TestHolderSweep:
         # no time 0: the base snapshot's leaves live as long as the path does
         path = _gauss_path(4, 0.5, 0.005, np.arange(1, 101) / 200)
         lags = (1, 2, 8, 32)
-        pairs = [pair for lag_pairs in _pairs(path, lags, 12) for pair in lag_pairs]
+        pairs = [pair for lag_pairs in _pairs(path.n_snapshots, lags, 12) for pair in lag_pairs]
         last = {}
         for i, j in pairs:
             last[i] = max(last.get(i, i), j)
@@ -314,11 +314,11 @@ class TestHolderSweep:
         mass_levels = engine.CascadePath.mass_levels
 
         def watched(self, s):
-            # the sweep's held set as it stands when snapshot s is materialized
+            # the Hölder reader's held set as it stands when snapshot s is materialized
             frame = sys._getframe(1)
-            while frame.f_code is not transport.holder_distances.__code__:
+            while frame.f_code is not transport.HolderPairs.read.__code__:
                 frame = frame.f_back
-            held = frame.f_locals["held"]
+            held = frame.f_locals["self"].held
             assert set(held) == {i for i in last if i < s <= last[i]}
             spanning = sum(i < s <= j for i, j in pairs)
             assert len(held) <= spanning
@@ -349,6 +349,39 @@ class TestHolderSweep:
         monkeypatch.setattr(engine.CascadePath, "mass_levels", watched)
         transport.holder_distances(path, pair_budget=12, lags=(1, 2, 8, 32))
         assert len(buffers) > 30
+
+    def test_streamed_sweep_holds_spanning_pairs_only(self, monkeypatch):
+        # the same two bounds on a path that is evolved, not stored
+        grid = engine.make_grid(0.5, 0.005)
+        lags = (1, 2, 8, 32)
+        reader = transport.HolderPairs(grid, 4, pair_budget=12, lags=lags)
+        pairs = [pair for lag_pairs in _pairs(len(grid), lags, 12) for pair in lag_pairs]
+        buffers, sizes = [], []
+        masses_flat = engine._masses_flat
+
+        def watched(base, cum, s):
+            assert all(ref() is None for ref in buffers)
+            assert len(reader.held) <= sum(i < s <= j for i, j in pairs)
+            sizes.append(len(reader.held))
+            flat = masses_flat(base, cum, s)
+            buffers.append(weakref.ref(flat))
+            return flat
+
+        monkeypatch.setattr(engine, "_masses_flat", watched)
+        engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, [reader], seed=3)
+        assert len(sizes) > 30 and max(sizes) > 1
+        assert reader.held == {}
+
+    def test_streamed_fit_matches_stored(self):
+        base, spec = tree.uniform_flow(6), wp.gaussian_spec()
+        grid = engine.make_grid(0.25, 2.0**-6)
+        seeds = [3, 2**63 + 4]
+        stored = transport.holder_exponent(
+            (engine.simulate_path(base, spec, grid, seed=s) for s in seeds), pair_budget=8
+        )
+        streamed = transport.streamed_holder_exponent(base, spec, grid, seeds, pair_budget=8)
+        assert not stored.degenerate
+        assert repr(streamed) == repr(stored)
 
     def test_distances_independent_of_blas_threads(self):
         # depth 13: 16 382 masses per snapshot, long enough for a threaded BLAS dot

@@ -49,13 +49,6 @@ class TestVertex:
         assert tree.common_ancestor_depth(u, u) == 4
         assert tree.common_ancestor_depth(u, tree.Vertex(2, 0b01)) == 2
 
-    def test_ray_distance_truncation_floor(self):
-        a = tree.Vertex(5, 3)
-        assert tree.ray_distance(a, a) == 2.0**-5
-        assert tree.ray_distance(tree.Vertex(5, 0), tree.Vertex(5, 16)) == 1.0
-        with pytest.raises(ValueError):
-            tree.ray_distance(a, tree.Vertex(4, 3))
-
 
 class TestFlowConstruction:
     def test_uniform_flow_masses(self):
@@ -210,7 +203,7 @@ class TestCdfAndSampling:
     def test_sample_ray_point_mass(self):
         f = tree.single_ray_flow(4, bits=0b1010, mass=2.0)
         g = np.random.default_rng(1)
-        assert tree.sample_ray(f, g) == tree.Ray(4, 0b1010)
+        assert tree.sample_ray(f, g) == tree.Vertex(4, 0b1010)
 
     def test_sample_rays_match_scalar_law(self):
         f = tree.normalize(tree.flow_from_leaves([1.0, 2.0, 3.0, 4.0]))

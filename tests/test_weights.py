@@ -125,8 +125,8 @@ class TestIncrements:
     def test_zero_duration_is_unit_weight(self):
         spec = wp.gaussian_spec()
         assert np.all(wp.log_increments(spec, 0.0, 7, 1, 0, 8) == 0.0)
-        key = wp.VertexNoiseKey(7, tree.Vertex(1, 0), 1)
-        assert wp.sample_increment(spec, 0.5, 0.0, key) == 1.0
+        one = wp.log_increments(spec, 0.0, 7, 1, tree.flat_index(tree.Vertex(1, 0)), 1)
+        assert np.exp(one).tolist() == [1.0]
 
     def test_multi_matches_single_seed_rows(self):
         spec = wp.compound_poisson_spec()
@@ -144,14 +144,13 @@ class TestIncrements:
         assert np.array_equal(multi[0], wp.log_increments(spec, 0.1, -3, 1, 0, 14))
         assert np.array_equal(multi[1], wp.log_increments(spec, 0.1, 5, 1, 0, 14))
 
-    def test_sample_increment_matches_bulk(self):
-        spec = wp.gaussian_spec()
-        v = tree.Vertex(3, 5)
-        key = wp.VertexNoiseKey(13, v, 2)
+    @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
+    def test_one_vertex_draw_matches_bulk(self, spec):
+        # draws are keyed: a vertex's increment is the same alone or in a range
+        index = tree.flat_index(tree.Vertex(3, 5))
         bulk = wp.log_increments(spec, 0.25, 13, 2, 0, 14)
-        assert wp.sample_increment(spec, 0.0, 0.25, key) == pytest.approx(
-            math.exp(bulk[tree.flat_index(v)]), rel=1e-15
-        )
+        one = wp.log_increments(spec, 0.25, 13, 2, index, 1)
+        assert one.tobytes() == bulk[index : index + 1].tobytes()
 
     def test_gaussian_increment_moments(self):
         # frozen-seed Monte Carlo against the analytic law of log W
@@ -178,11 +177,7 @@ class TestIncrements:
         frac = np.mean(np.abs(logw - no_jump_value) < 1e-12)
         assert frac == pytest.approx(math.exp(-spec.rate * t), abs=0.01)
 
-    def test_key_validation(self):
-        with pytest.raises(ValueError):
-            wp.VertexNoiseKey(1, tree.ROOT, 1)
-        with pytest.raises(ValueError):
-            wp.VertexNoiseKey(1, tree.Vertex(1, 0), 0)
+    def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             wp.log_increments(wp.gaussian_spec(), -0.1, 1, 1, 0, 4)
 
