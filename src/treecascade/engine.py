@@ -177,7 +177,7 @@ def _mass_levels(base, cum):
 
 
 def _masses_flat(base, cum, grid_index):
-    # grid index 0 holds the base flow's own levels
+    # ``CascadePath.masses_flat`` of a log-state at a grid index
     if grid_index == 0:
         return np.concatenate(base.levels)
     return _mass_levels(base, cum)[0].base
@@ -226,8 +226,9 @@ def _overlap_from_flat(flat):
 
 
 def _feed(readers, i, state, materialize):
-    # the first reader that asks materializes the masses; the rest share them
-    masses = functools.cache(materialize)
+    # the first reader that asks materializes the masses, the rest share them;
+    # a lone reader gets them uncached, so the buffer dies when it drops it
+    masses = functools.cache(materialize) if len(readers) > 1 else materialize
     for reader in readers:
         reader.read(i, state, masses)
 
@@ -353,7 +354,9 @@ class CascadePath:
         ``masses_flat`` returns; at grid index 0 it holds the base flow's
         own levels.
         """
-        return _level_views(_masses_flat(self.base, self._cum[i], self.snapshot_indices[i]))
+        if self.snapshot_indices[i] == 0:
+            return _level_views(np.concatenate(self.base.levels))
+        return _mass_levels(self.base, self._cum[i])
 
     def masses_flat(self, i):
         """All masses at snapshot i, level-major; vertex v sits at 2^|v| - 1 + bits.

@@ -73,14 +73,13 @@ def overlap_series(path):
 def path_observables(path):
     """(times, root_mass, overlap, cum_qv) arrays over stored snapshots;
     cum_qv is the running sum of squared log root-mass increments."""
-    roots, q, _ = path.snapshot_summaries()
-    return path.times.copy(), roots.copy(), q.copy(), _cum_qv(roots)
+    return _observables(path.times, *path.snapshot_summaries()[:2])
 
 
-def _cum_qv(roots):
+def _observables(times, roots, q):
     cum_qv = np.zeros_like(roots)
     np.cumsum(np.diff(np.log(roots)) ** 2, out=cum_qv[1:])
-    return cum_qv
+    return times.copy(), roots.copy(), q.copy(), cum_qv
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ class QvComparison:
 def realized_vs_predicted_qv(path):
     """Realized squared log root increments against the integrated overlap."""
     _require_gaussian(path.spec, "quadratic variation comparison")
-    return _qv_comparison(path.times, *path.snapshot_summaries()[:2])
+    return _qv_comparison(*path_observables(path))
 
 
 def streamed_qv(base, spec, grid, seed=0):
@@ -102,11 +101,11 @@ def streamed_qv(base, spec, grid, seed=0):
     _require_gaussian(spec, "quadratic variation comparison")
     summaries = SnapshotSummaries(len(grid))
     stream_path(base, spec, grid, [summaries], seed=seed)
-    return _qv_comparison(np.asarray(grid, dtype=np.float64), *summaries.values[:2])
+    return _qv_comparison(*_observables(np.asarray(grid, dtype=np.float64), *summaries.values[:2]))
 
 
-def _qv_comparison(times, roots, q):
-    realized = float(_cum_qv(roots)[-1])
+def _qv_comparison(times, roots, q, cum_qv):
+    realized = float(cum_qv[-1])
     predicted = float(np.sum(q[:-1] * np.diff(times)))
     if predicted == 0.0:
         rel_err = 0.0 if realized == 0.0 else math.inf

@@ -242,8 +242,7 @@ def holder_exponent(paths, pair_budget=64, lags=None):
     if hasattr(paths, "masses_flat"):
         paths = [paths]
     distances = functools.partial(holder_distances, pair_budget=pair_budget, lags=lags)
-    # map holds no path past its call, so a generator can free each path
-    # before it simulates the next
+    # map keeps no finished path, so a generator can free each before the next
     return _pooled_fit(map(distances, paths))
 
 
