@@ -90,10 +90,6 @@ _REPLICA_BLOCK = 1 << 18
 _SERIES_BLOCK = 1 << 16
 
 
-# Largest stored state, in bytes, that ``simulate_path`` allocates: physical memory
-_STORED_STATE_LIMIT = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 # Largest level, in elements, that ``_logx_levels`` widens with two strided
 # adds, which beat np.repeat plus an add while the arrays stay in cache.
 # Wider levels, as in (R, size) replica batches, are bound by memory
@@ -176,11 +172,11 @@ def _mass_levels(base, cum):
     return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
-def _masses_flat(base, cum, grid_index):
-    # ``CascadePath.masses_flat`` of a log-state at a grid index
+def _mass_levels_at(base, cum, grid_index):
+    # ``CascadePath.mass_levels`` of a log-state; index 0 copies the base flow
     if grid_index == 0:
-        return np.concatenate(base.levels)
-    return _mass_levels(base, cum)[0].base
+        return _level_views(np.concatenate(base.levels))
+    return _mass_levels(base, cum)
 
 
 def _evolve(spec, seeds, durations, depth, first_step=1):
@@ -239,13 +235,21 @@ def _read_stored(path, readers):
         _feed(readers, i, path._cum[i], functools.partial(path.masses_flat, i))
 
 
+def _stored_state_limit():
+    # physical memory in bytes; unbounded where sysconf does not report it
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 class _StoredRows:
-    """Storage reader of the log-states into ``rows``, at most ``_STORED_STATE_LIMIT`` bytes."""
+    """Storage reader of the log-states into ``rows``, at most ``_stored_state_limit()`` bytes."""
 
     def __init__(self, n_snapshots, size):
         nbytes = n_snapshots * size * 8
-        if nbytes > _STORED_STATE_LIMIT:
-            raise MemoryError(f"stored states: {nbytes} bytes > limit {_STORED_STATE_LIMIT}")
+        if nbytes > (limit := _stored_state_limit()):
+            raise MemoryError(f"stored states: {nbytes} bytes > limit {limit}")
         self.rows = np.empty((n_snapshots, size))
 
     def read(self, i, state, masses):
@@ -354,9 +358,7 @@ class CascadePath:
         ``masses_flat`` returns; at grid index 0 it holds the base flow's
         own levels.
         """
-        if self.snapshot_indices[i] == 0:
-            return _level_views(np.concatenate(self.base.levels))
-        return _mass_levels(self.base, self._cum[i])
+        return _mass_levels_at(self.base, self._cum[i], self.snapshot_indices[i])
 
     def masses_flat(self, i):
         """All masses at snapshot i, level-major; vertex v sits at 2^|v| - 1 + bits.
@@ -429,8 +431,7 @@ def _path_frame(base, grid, depth, snapshot_times):
         raise ValueError("grid must start at 0")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    if depth is None:
-        depth = base.depth
+    depth = base.depth if depth is None else depth
     if not 0 <= depth <= base.depth:
         raise ValueError("depth must be between 0 and base.depth")
     grid = grid.copy()
@@ -453,16 +454,16 @@ def _sweep(base, spec, grid, want, seed, readers):
     durations = np.diff(grid[: max(rows, default=0) + 1])
     for j, state in enumerate(_evolve(spec, [seed], durations, base.depth)):
         if j in rows:
-            _feed(readers, rows[j], state[0], functools.partial(_masses_flat, base, state[0], j))
+            _feed(readers, rows[j], state[0], lambda: _mass_levels_at(base, state[0], j)[0].base)
 
 
-def stream_path(base, spec, grid, readers, depth=None, seed=0, snapshot_times=None):
+def stream_path(base, spec, grid, readers, seed=0, snapshot_times=None):
     """Evolve the path ``simulate_path`` would, storing nothing, for readers.
 
     At the i-th wanted time each reader's ``read(i, state, masses)`` gets
     the log-state and a callable that returns the ``masses_flat`` buffer,
     made once for all readers; both live only for the call."""
-    base, grid, want = _path_frame(base, grid, depth, snapshot_times)
+    base, grid, want = _path_frame(base, grid, None, snapshot_times)
     _sweep(base, spec, grid, want, seed, readers)
 
 

@@ -212,8 +212,7 @@ class HolderPairs:
         if s not in last:
             return  # no pair reads snapshot s
         flat = masses()
-        # levels 1..n divided by the root: a new array, so no materialized
-        # buffer outlives its step
+        # levels 1..n over the root, a new array: no materialized buffer outlives its step
         held[s] = np.divide(flat[1:], flat[0])
         for r, c, i in self._pairs[s]:
             np.subtract(held[i], held[s], out=diff)
@@ -246,13 +245,13 @@ def holder_exponent(paths, pair_budget=64, lags=None):
     return _pooled_fit(map(distances, paths))
 
 
-def streamed_holder_exponent(base, spec, grid, seeds, pair_budget=64, lags=None):
+def streamed_holder_exponent(base, spec, grid, seeds, pair_budget=64):
     """``holder_exponent`` of ``simulate_path(base, spec, grid, seed=s)`` for s
     in ``seeds``, bit for bit, from ``engine.stream_path``: nothing stored."""
 
     def distances():
         for seed in seeds:
-            pairs = HolderPairs(grid, base.depth, pair_budget, lags)
+            pairs = HolderPairs(grid, base.depth, pair_budget)
             engine.stream_path(base, spec, grid, [pairs], seed=int(seed))
             yield pairs.distances
 

@@ -421,7 +421,7 @@ class TestStreamPath:
 
     def test_stored_state_over_limit_raises_before_drawing(self, monkeypatch):
         calls = _counted_draws(monkeypatch)
-        monkeypatch.setattr(engine, "_STORED_STATE_LIMIT", 10_500)
+        monkeypatch.setattr(engine, "_stored_state_limit", lambda: 10_500)
         grid = engine.make_grid(0.1, 0.01)
         # 11 states of 126 log-weights take 11 088 bytes, 10 take 10 080
         with pytest.raises(MemoryError, match="stored states: 11088 bytes > limit 10500"):

@@ -357,17 +357,17 @@ class TestHolderSweep:
         reader = transport.HolderPairs(grid, 4, pair_budget=12, lags=lags)
         pairs = [pair for lag_pairs in _pairs(len(grid), lags, 12) for pair in lag_pairs]
         buffers, sizes = [], []
-        masses_flat = engine._masses_flat
+        mass_levels_at = engine._mass_levels_at
 
         def watched(base, cum, s):
             assert all(ref() is None for ref in buffers)
             assert len(reader.held) <= sum(i < s <= j for i, j in pairs)
             sizes.append(len(reader.held))
-            flat = masses_flat(base, cum, s)
-            buffers.append(weakref.ref(flat))
-            return flat
+            levels = mass_levels_at(base, cum, s)
+            buffers.append(weakref.ref(levels[0].base))
+            return levels
 
-        monkeypatch.setattr(engine, "_masses_flat", watched)
+        monkeypatch.setattr(engine, "_mass_levels_at", watched)
         engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, [reader], seed=3)
         assert len(sizes) > 30 and max(sizes) > 1
         assert reader.held == {}
