@@ -430,6 +430,13 @@ class TestStreamPath:
         path = engine.simulate_path(tree.uniform_flow(6), wp.gaussian_spec(), grid[:10], seed=1)
         assert path.n_snapshots == 10 and len(calls) == 9
 
+    def test_stored_state_unbounded_without_sysconf(self, monkeypatch):
+        # platforms without os.sysconf still store paths
+        monkeypatch.delattr(engine.os, "sysconf")
+        assert engine._stored_state_limit() == math.inf
+        path = engine.simulate_path(tree.uniform_flow(2), wp.gaussian_spec(), [0.0, 0.1], seed=1)
+        assert path.n_snapshots == 2
+
     def test_stream_path_checks_like_simulate_path(self):
         with pytest.raises(ValueError, match="grid must start at 0"):
             engine.stream_path(tree.uniform_flow(2), wp.gaussian_spec(), [0.1, 0.2], [])
