@@ -332,37 +332,33 @@ def _cmd_simulate(cfg, parser):
         parser.error("--save-flow requires --replicas 1")
 
     seeds = derive_seeds(int(cfg["seed"]), replicas)
+    # the root is one more vertex: its series is the root masses, bit for bit
+    tracked = [ROOT, *vertices]
+    at_base = [base.mass(v) for v in tracked]  # time 0: the base flow's own masses
+    series = np.empty((len(grid), replicas, len(tracked)))  # (time, replica, vertex)
+    for block, i, state in engine._evolve_blocks(spec, seeds, np.diff(grid), base.depth):
+        series[i, block] = engine._vertex_masses(base, state, tracked) if i else at_base
+        if save and i == len(grid) - 1:
+            final = engine._snapshot(base, state[0], i)
 
-    def one(r):
-        path = engine.simulate_path(base, spec, grid, seed=int(seeds[r]))
-        # the root is one more vertex: its series is the root masses, bit for bit
-        series = path.vertex_mass_series([ROOT, *vertices])
-        final = path.snapshot(path.n_snapshots - 1) if save else None
-        return series[:, 0], series[:, 1:], final
-
-    results = [one(r) for r in range(replicas)]
-
-    rows = []
-    for i, t in enumerate(grid):
-        for r in range(replicas):
-            rows.append([repr(float(t)), r, repr(float(results[r][0][i]))])
+    rows = (  # made as the CSV writer takes them: no row list is held
+        [repr(float(t)), r, repr(float(series[i, r, 0]))]
+        for i, t in enumerate(grid)
+        for r in range(replicas)
+    )
     _emit(_csv_text(["time", "replica", "root_mass"], rows), cfg.get("output"))
-
     if vertices:
-        vrows = []
-        for i, t in enumerate(grid):
-            for r in range(replicas):
-                for j, v in enumerate(vertices):
-                    vrows.append(
-                        [repr(float(t)), r, v.depth, v.bits, repr(float(results[r][1][i, j]))]
-                    )
-        _emit(
-            _csv_text(["time", "replica", "vertex_depth", "path_bits", "mass"], vrows),
-            cfg["vertex_output"],
+        vrows = (
+            [repr(float(t)), r, v.depth, v.bits, repr(float(series[i, r, c]))]
+            for i, t in enumerate(grid)
+            for r in range(replicas)
+            for c, v in enumerate(vertices, start=1)
         )
+        header = ["time", "replica", "vertex_depth", "path_bits", "mass"]
+        _emit(_csv_text(header, vrows), cfg["vertex_output"])
 
     if save:
-        save_flow(results[0][2], cfg["save_flow"])
+        save_flow(final, cfg["save_flow"])
     return 0
 
 

@@ -14,13 +14,14 @@ remaining increments; ``compose`` exposes that operation and
 ``compose_from_path`` replays a stored path's own increments, which
 reproduces its snapshots to floating-point accuracy.
 
-Every log-state, a single path's or a replica batch's, advances through
-one evolution loop, ``_evolve``; a single path is a batch of one seed.
-Replica loops evolve their seeds in blocks sized by bytes, not rows
-(``_replica_blocks``): each block's state holds at most ``_REPLICA_BLOCK``
-elements, or one replica past depth 17, so the working set of a batched
-step stays in cache and does not grow with depth.  Rows are independent,
-so every statistic is the same bit for bit whatever the block size.
+Every log-state advances through one evolution loop, ``_evolve_blocks``,
+which yields (rows, step, state) for each replica block and grid step;
+paths, replica statistics, fresh cascades and ``cli simulate`` read what
+they need from it, and a single path is a batch of one seed.  Blocks are
+sized by bytes (``_replica_blocks``): each block's state holds at most
+``_REPLICA_BLOCK`` elements, or one replica past depth 17, so a step's
+working set stays in cache.  Rows are independent, so every statistic is
+the same bit for bit whatever the block size.
 
 Weight state is accumulated in log space; masses exponentiate only when a
 snapshot is materialized: leaf log-states are summed root first along each
@@ -37,11 +38,10 @@ sweep with a storage reader, which fills the rows of one read-only
 (T, 2^(n+1) - 2) array.  A stored path feeds its rows to the same
 readers, so its summaries (``SnapshotSummaries``) and Hölder distances
 (``transport.HolderPairs``) match a streamed path's bit for bit.
-A vertex mass series reads only the vertex's root path and subtree, in
-the same order of operations, so it matches the full snapshot bit for
-bit; it reads those states in place from a block of consecutive rows at
-a time and runs one batched root-path product and level reduction per
-block.
+A vertex's masses (``_vertex_masses``) read only its root path and
+subtree, in the same order of operations, so they match the full snapshot
+bit for bit, from a block of log-states at a time: a stored path's
+consecutive snapshots, or one step's replica block.
 """
 
 import functools
@@ -78,9 +78,9 @@ __all__ = [
 ]
 
 
-# Largest replica-batch state, in elements, that one ``_evolve`` call of a
-# replica loop owns (2 MiB of float64, about one core's share of L2): 32
-# rows at depth 12, 8 at depth 14.
+# Largest replica-block state, in elements, that ``_evolve_blocks`` owns
+# (2 MiB of float64, about one core's share of L2): 32 rows at depth 12,
+# 8 at depth 14.
 _REPLICA_BLOCK = 1 << 18
 
 
@@ -179,28 +179,72 @@ def _mass_levels_at(base, cum, grid_index):
     return _mass_levels(base, cum)
 
 
-def _evolve(spec, seeds, durations, depth, first_step=1):
-    """Yield the (len(seeds), size) log-state, zero at first, and after each duration.
+def _evolve(spec, seeds, durations, first_step, state, increments, lanes):
+    """Yield ``state``, zeroed, and again after each duration: one block of ``_evolve_blocks``.
 
-    Step j adds, in place, increments keyed (seed, vertex, first_step + j); a zero
-    duration draws nothing.  Yields share one array.  Every step draws into one
-    increments buffer and, for compound Poisson, one lane buffer, so no step
-    allocates its own.
+    Step j adds, in place, increments keyed (seed, vertex, first_step + j),
+    drawn into ``increments``, or straight into the zero state when that is
+    None (a single draw); a zero duration draws nothing.
     """
-    # One allocation for the state and the buffer: as two, glibc handed
-    # each replica block's pair back to the OS on release and the next
-    # block page-faulted it anew (about 15 000 minor faults per depth-12,
-    # 500-replica verify entry in 32-row blocks, against at most 2 500).
-    state, increments = np.empty((2, len(seeds), _flat_size(depth)))
     state.fill(0.0)
-    lanes = wp._lane_buffer(spec, state.shape)
     yield state
-    for j, dt in enumerate(map(float, durations)):
+    for step, dt in enumerate(map(float, durations), start=first_step):
         if dt != 0.0:
-            state += wp.log_increments_multi(
-                spec, dt, seeds, first_step + j, 0, state.shape[1], out=increments, _lanes=lanes
-            )
+            out = state if increments is None else increments
+            wp.log_increments_multi(spec, dt, seeds, step, 0, out.shape[1], out, _lanes=lanes)
+            state += 0.0 if increments is None else increments  # as 0.0 + x: -0.0 becomes 0.0
         yield state
+
+
+def _evolve_blocks(spec, seeds, durations, depth, first_step=1):
+    """Yield (rows, j, state) for each replica block and step j = 0..len(durations).
+
+    ``rows`` slices ``seeds``; ``state`` is the block's (rows, size) log-state
+    after its first j durations.  Every block reuses the first block's
+    buffers, so none is allocated while the caller holds a state; a single
+    draw needs none for increments, which halves a nested loop's memory.
+    """
+    buffers = None
+    for rows in _replica_blocks(len(seeds), depth):
+        if buffers is None:
+            shape = (rows.stop, _flat_size(depth))
+            increments = np.empty(shape) if np.count_nonzero(durations) > 1 else None
+            buffers = np.empty(shape), increments, wp._lane_buffer(spec, shape)
+        block = [None if b is None else b[: rows.stop - rows.start] for b in buffers]
+        for j, state in enumerate(_evolve(spec, seeds[rows], durations, first_step, *block)):
+            yield rows, j, state
+
+
+def _vertex_masses(base, cum, vertices):
+    """Masses of ``vertices`` in the cascade of ``base`` by each row of ``cum``.
+
+    Shape (rows, len(vertices)), from each vertex's root path and subtree
+    alone, read in place, one batched product and reduction per block of
+    rows that ``_SERIES_BLOCK`` subtree leaves hold.  Grid index 0 is the
+    caller's: it reads the base flow's own masses.
+    """
+    n = base.depth
+    out = np.empty((len(cum), len(vertices)))
+    for c, v in enumerate(vertices):
+        if v.depth > n:
+            raise ValueError(f"vertex depth {v.depth} exceeds path depth {n}")
+        sub = base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
+        for rows in _blocks(len(cum), len(sub), _SERIES_BLOCK):
+            leaves = _leaf_masses(sub, cum[rows], _level_slices(n, v))
+            out[rows, c] = _levels_from_leaves(leaves)[0][:, 0]
+    return out
+
+
+def _snapshot(base, cum, grid_index):
+    """The flow of log-state ``cum``, checked finite; grid index 0 is the base flow itself."""
+    if grid_index == 0:
+        return base
+    levels = _mass_levels(base, cum)
+    flat = levels[0].base  # the buffer the levels share
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"non-finite masses at grid index {grid_index}")
+    flat.flags.writeable = False
+    return Flow(tuple(_freeze(a) for a in levels))
 
 
 def _overlap_from_flat(flat):
@@ -370,14 +414,7 @@ class CascadePath:
 
     def snapshot(self, i):
         """The flow at stored snapshot i; index 0 is the base flow, exactly."""
-        if self.snapshot_indices[i] == 0:
-            return self.base
-        levels = self.mass_levels(i)
-        flat = levels[0].base  # the buffer the levels share
-        if not np.all(np.isfinite(flat)):
-            raise ValueError(f"snapshot {i} has non-finite masses")
-        flat.flags.writeable = False
-        return Flow(tuple(_freeze(a) for a in levels))
+        return _snapshot(self.base, self._cum[i], self.snapshot_indices[i])
 
     def root_mass(self, i):
         return float(self.mass_levels(i)[0][0])
@@ -401,39 +438,23 @@ class CascadePath:
     def vertex_mass_series(self, vertices):
         """Masses of the given vertices at every stored snapshot; shape (T, len(vertices)).
 
-        Each entry equals ``masses_flat(i)`` at the vertex's offset bit for
-        bit, but is computed from the vertex's root path and subtree alone,
-        read in place from the stored states: consecutive snapshots, as many
-        as ``_SERIES_BLOCK`` elements of the subtree's leaves hold, take one
-        root-path product and one level reduction.  Grid index 0 reads the
-        base flow.
+        Bit for bit ``masses_flat(i)`` at each vertex's offset, read in place
+        from the stored rows by ``_vertex_masses``; grid index 0 reads the base.
         """
-        n = self.depth
         out = np.empty((self.n_snapshots, len(vertices)))
-        # only the first stored snapshot can be at grid index 0
-        first = int(np.count_nonzero(self.snapshot_indices == 0))
-        for c, v in enumerate(vertices):
-            if v.depth > n:
-                raise ValueError(f"vertex depth {v.depth} exceeds path depth {n}")
-            sub = self.base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
-            out[:first, c] = self.base.mass(v)
-            for block in _blocks(self.n_snapshots - first, len(sub), _SERIES_BLOCK):
-                rows = slice(first + block.start, first + block.stop)
-                leaves = _leaf_masses(sub, self._cum[rows], _level_slices(n, v))
-                out[rows, c] = _levels_from_leaves(leaves)[0][:, 0]
+        first = int(np.count_nonzero(self.snapshot_indices == 0))  # 0 or 1: grid index 0
+        out[first:] = _vertex_masses(self.base, self._cum[first:], vertices)
+        out[:first] = [self.base.mass(v) for v in vertices]
         return out
 
 
-def _path_frame(base, grid, depth, snapshot_times):
-    # (truncated base, read-only grid, wanted grid indices), checked
+def _path_frame(grid, snapshot_times):
+    # (read-only grid, wanted grid indices), checked
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or len(grid) == 0 or grid[0] != 0.0:
         raise ValueError("grid must start at 0")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    depth = base.depth if depth is None else depth
-    if not 0 <= depth <= base.depth:
-        raise ValueError("depth must be between 0 and base.depth")
     grid = grid.copy()
     grid.flags.writeable = False
     want = np.arange(len(grid))
@@ -445,14 +466,14 @@ def _path_frame(base, grid, depth, snapshot_times):
                 raise ValueError(f"snapshot time {t!r} is not on the grid")
             idx.append(int(hits[0]))
         want = np.array(sorted(set(idx)), dtype=np.int64)
-    return truncate(base, depth), grid, want
+    return grid, want
 
 
 def _sweep(base, spec, grid, want, seed, readers):
     # keyed draws: stopping at the last wanted step changes no earlier one
     rows = {j: r for r, j in enumerate(want.tolist())}
     durations = np.diff(grid[: max(rows, default=0) + 1])
-    for j, state in enumerate(_evolve(spec, [seed], durations, base.depth)):
+    for _, j, state in _evolve_blocks(spec, [seed], durations, base.depth):
         if j in rows:
             _feed(readers, rows[j], state[0], lambda: _mass_levels_at(base, state[0], j)[0].base)
 
@@ -463,22 +484,20 @@ def stream_path(base, spec, grid, readers, seed=0, snapshot_times=None):
     At the i-th wanted time each reader's ``read(i, state, masses)`` gets
     the log-state and a callable that returns the ``masses_flat`` buffer,
     made once for all readers; both live only for the call."""
-    base, grid, want = _path_frame(base, grid, None, snapshot_times)
+    grid, want = _path_frame(grid, snapshot_times)
     _sweep(base, spec, grid, want, seed, readers)
 
 
-def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
+def simulate_path(base, spec, grid, seed=0, snapshot_times=None):
     """Evolve the cascade of ``base`` along a time grid.
 
     Parameters
     ----------
     base : Flow
-        Initial flow; must be valid.  Truncated to ``depth`` if given.
+        Initial flow; must be valid.
     spec : WeightSpec
     grid : ndarray
         Strictly increasing times starting at 0.
-    depth : int, optional
-        Cascade depth, at most ``base.depth`` (default: the base depth).
     seed : int
         Path seed; every draw is addressed by (seed, vertex, step index).
     snapshot_times : sequence of float, optional
@@ -490,7 +509,7 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
         Raises MemoryError, before any draw, if the states would not fit
         in the machine's physical memory.
     """
-    base, grid, want = _path_frame(base, grid, depth, snapshot_times)
+    grid, want = _path_frame(grid, snapshot_times)
     storage = _StoredRows(len(want), _flat_size(base.depth))
     _sweep(base, spec, grid, want, seed, [storage])
     storage.rows.flags.writeable = False
@@ -505,16 +524,17 @@ def simulate_path(base, spec, grid, depth=None, seed=0, snapshot_times=None):
 
 
 def _cascade_leaves(leaves, spec, seeds, durations, first_step=1):
-    """``leaves`` cascaded by fresh increments, a row per seed; the state dies on return."""
+    """Yield (rows, those rows of ``leaves`` cascaded by the fresh increments of their seeds)."""
     depth = leaves.shape[-1].bit_length() - 1
-    *_, cum = _evolve(spec, seeds, durations, depth, first_step)
-    return _leaf_masses(leaves, cum, _level_slices(depth))
+    for rows, j, state in _evolve_blocks(spec, seeds, durations, depth, first_step):
+        if j == len(durations):
+            yield rows, _leaf_masses(leaves[rows], state, _level_slices(depth))
 
 
 def _compose_with_increments(current, spec, durations, seed, first_step):
     if current.depth == 0:
         return current
-    leaves = _cascade_leaves(current.leaves, spec, [seed], durations, first_step)
+    [(_, leaves)] = _cascade_leaves(current.leaves[None], spec, [seed], durations, first_step)
     return flow_from_leaves(leaves[0])
 
 
@@ -609,34 +629,20 @@ def convergence_probe(base, spec, t, depths, h, replicas, seed):
 
     diffs = np.empty((replicas, len(depths)))
     slices = _level_slices(n_max)
-    for r, sr in enumerate(derive_seeds(seed, replicas)):
-        *_, cum = _evolve(spec, [sr], [t], n_max)
-        # a numpy reduction, not a BLAS dot, so the sums do not depend on
-        # the BLAS thread count
-        roots = [
-            float(np.add.reduce(np.multiply(level, np.exp(logx))))
-            for level, logx in zip(base.levels, _logx_levels(cum[0], slices))
-        ]
-        del _, cum  # one replica's state at a time: 512 KiB at depth 15
-        for c, n in enumerate(depths):
-            diffs[r, c] = abs(roots[n + 1] - roots[n]) ** h
+    for rows, j, cum in _evolve_blocks(spec, derive_seeds(seed, replicas), [t], n_max):
+        if j:
+            # per level, a numpy reduction of each replica's row, not a BLAS
+            # dot, so the sums do not depend on the BLAS thread count
+            levels = zip(base.levels, _logx_levels(cum, slices))
+            roots = [np.add.reduce(lv * np.exp(lx), axis=-1).tolist() for lv, lx in levels]
+            diffs[rows] = [[abs(m[n + 1] - m[n]) ** h for n in depths] for m in zip(*roots)]
     means = diffs.mean(axis=0)
     ses = diffs.std(axis=0, ddof=1) / math.sqrt(replicas)
-    shapes = np.array(
-        [
-            wp.moment(spec, t, h) ** (n + 1) * float(np.sum(base.level(n + 1) ** h))
-            for n in depths
-        ]
-    )
+    moment = wp.moment(spec, t, h)
+    shapes = np.array([moment ** (n + 1) * float(np.sum(base.level(n + 1) ** h)) for n in depths])
     c_fitted = float(np.max(means / shapes))
     rows = tuple(
-        ConvergenceRow(
-            depth=n,
-            mean=float(means[c]),
-            se=float(ses[c]),
-            bound_shape=float(shapes[c]),
-            flagged=bool(means[c] - 2.0 * ses[c] > c_fitted * shapes[c]),
-        )
-        for c, n in enumerate(depths)
+        ConvergenceRow(n, float(m), float(se), float(sh), bool(m - 2.0 * se > c_fitted * sh))
+        for n, m, se, sh in zip(depths, means, ses, shapes)
     )
     return ConvergenceReport(t=float(t), h=float(h), rows=rows, c_fitted=c_fitted)

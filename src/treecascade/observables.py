@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SnapshotSummaries, _evolve, _leaf_masses, _level_slices, _overlap_from_flat
-from .engine import _replica_blocks, stream_path
+from .engine import SnapshotSummaries, _evolve_blocks, _leaf_masses, _level_slices
+from .engine import _overlap_from_flat, stream_path
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -206,16 +206,15 @@ def girsanov_check(base, spec, t_end, vertex, replicas, seed, step=0.01):
     slices = _level_slices(base.depth)
 
     integral = np.zeros(replicas)
-    m_weight = np.empty(replicas)
-    b_vertex = np.empty(replicas)
+    m_weight, b_vertex = np.empty((2, replicas))
     dt = t_end / m_steps
-    for block in _replica_blocks(replicas, base.depth):
-        for j, cum in enumerate(_evolve(spec, seeds[block], np.full(m_steps, dt), base.depth)):
-            if j < m_steps:
-                levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
-                integral[block] += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
-        m_weight[block] = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
-        b_vertex[block] = cum[:, flat_index(vertex)] + 0.5 * t_end
+    for rows, j, cum in _evolve_blocks(spec, seeds, np.full(m_steps, dt), base.depth):
+        if j < m_steps:
+            levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
+            integral[rows] += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
+        else:
+            m_weight[rows] = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
+            b_vertex[rows] = cum[:, flat_index(vertex)] + 0.5 * t_end
 
     y = m_weight * (b_vertex - integral)
     se = float(y.std(ddof=1) / math.sqrt(replicas))

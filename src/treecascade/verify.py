@@ -11,13 +11,13 @@ and succeeds only when every actual verdict matches it.  A test whose
 replica budget is below its declared power floor reports Inconclusive
 rather than a verdict it cannot support.
 
-The replica-batched tests (martingale means, the Markov marginal) evolve
-their replicas in blocks of at most ``engine._REPLICA_BLOCK`` state
-elements (``engine._replica_blocks``): the state a step works on stays
-within 2 MiB whatever the replica count and depth (past depth 17 one
-replica is a block).  Rows are independent, so every statistic is the
-same bit for bit whatever the block size.  Blocks and replicas run one
-after another in the calling thread.
+The replica-batched tests (martingale means, the Markov marginal) read
+their states from engine's one evolution loop, ``engine._evolve_blocks``,
+in blocks of at most ``engine._REPLICA_BLOCK`` state elements: a step's
+state stays within 2 MiB whatever the replica count and depth (past depth
+17 one replica is a block).  Rows are independent, so every statistic is
+the same bit for bit whatever the block size.  Blocks run one after
+another in the calling thread.
 """
 
 import hashlib
@@ -82,12 +82,9 @@ def _root_samples(base, spec, times, seeds):
     durations = np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
     slices = engine._level_slices(base.depth)
     out = np.empty((len(seeds), len(durations)))
-    for block in engine._replica_blocks(len(seeds), base.depth):
-        states = engine._evolve(spec, seeds[block], durations, base.depth)
-        next(states)  # the zero state at time 0
-        # a comprehension, so no name holds this block's state into the next
-        roots = [engine._leaf_masses(base.leaves, cum, slices).sum(axis=1) for cum in states]
-        out[block] = np.column_stack(roots)
+    for rows, j, cum in engine._evolve_blocks(spec, seeds, durations, base.depth):
+        if j:  # j = 0 is the zero state at time 0
+            out[rows, j - 1] = engine._leaf_masses(base.leaves, cum, slices).sum(axis=1)
     return out
 
 
@@ -105,11 +102,12 @@ def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_repl
     evolve_seeds, fresh_seeds = (derive_seeds(derive_seed(seed, k), replicas) for k in (1, 2))
     windows = [s / 2.0 if control else s for control in controls]
     composed = np.empty((replicas, len(windows)))
-    for block in engine._replica_blocks(replicas, base.depth):
-        leaves_t = engine._cascade_leaves(base.leaves, spec, evolve_seeds[block], [t])
-        for c, s_used in enumerate(windows):
-            roots = engine._cascade_leaves(leaves_t, spec, fresh_seeds[block], [s_used])
-            composed[block, c] = roots.sum(axis=1)
+    for rows, j, cum in engine._evolve_blocks(spec, evolve_seeds, [t], base.depth):
+        if j:
+            leaves_t = engine._leaf_masses(base.leaves, cum, engine._level_slices(base.depth))
+            for c, w in enumerate(windows):
+                for block, roots in engine._cascade_leaves(leaves_t, spec, fresh_seeds[rows], [w]):
+                    composed[rows][block, c] = roots.sum(axis=1)
 
     from scipy.stats import ks_2samp  # a slow import, made only where it is used
 

@@ -20,8 +20,8 @@ Every draw runs through one code path, ``log_increments_multi``, for a
 batch of seeds and a range of vertices in level-major flat order:
 ``log_increments`` is one row of it, and a one-vertex range reproduces
 any simulated increment exactly.  ``engine._evolve`` passes it an increments
-buffer and, for compound Poisson, a lane buffer that every step of an
-evolution reuses.
+buffer (or the state itself, for a single draw) and, for compound Poisson,
+a lane buffer that every step and block of an evolution reuses.
 """
 
 import math

@@ -1,9 +1,10 @@
 import argparse
+import hashlib
 import json
 
 import pytest
 
-from treecascade import cli, tree, verify
+from treecascade import cli, engine, tree, verify
 
 
 def _run(argv):
@@ -86,6 +87,118 @@ class TestSimulate:
         monkeypatch.setenv("CASCADE_THREADS", "3")
         assert _run(argv + ["--output", str(c)]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_stores_no_path(self, tmp_path, monkeypatch):
+        def stored(*args, **kwargs):
+            raise AssertionError("simulate stored a path")
+
+        monkeypatch.setattr(engine, "simulate_path", stored)
+        monkeypatch.setattr(engine.CascadePath, "vertex_mass_series", stored)
+        code = _run(
+            [
+                "simulate", "--measure", "theta", "--depth", "5", "--t-end", "0.3",
+                "--step", "0.1", "--seed", "3", "--track-vertex", "5:7",
+                "--vertex-output", str(tmp_path / "v.csv"), "--output", str(tmp_path / "r.csv"),
+                "--save-flow", str(tmp_path / "final.json"),
+            ]
+        )
+        assert code == 0
+        assert tree.load_flow(tmp_path / "final.json").depth == 5
+
+
+def _skewed_flow_json():
+    """A depth-4 flow whose internal masses are the pairwise sums of its
+    leaves times 1 + 1e-13: valid within ``FLOW_REL_TOL``, yet every
+    internal mass differs from what its leaves rebuild."""
+    leaves = [(k + 1) / 136.0 for k in range(16)]
+    levels = [leaves]
+    while len(levels[0]) > 1:
+        below = levels[0]
+        levels.insert(0, [below[2 * i] + below[2 * i + 1] for i in range(len(below) // 2)])
+    levels = [[m * (1 + 1e-13) for m in lvl] for lvl in levels[:-1]] + [leaves]
+    return json.dumps({"depth": 4, "levels": levels})
+
+
+class TestSimulateFrozenBytes:
+    """sha256 of ``simulate``'s root CSV, vertex CSV and saved flow, pinned."""
+
+    THETA = ["--measure", "theta", "--depth", "6"]
+    TRACK = ["--track-vertex", "6:37", "--track-vertex", "1:0"]
+    POISSON = ["--kind", "compound_poisson", "--rate", "40", "--step", "0.05"]  # rate*step = 2
+    CASES = {
+        "gaussian_replicas3": THETA + ["--t-end", "0.3", "--step", "0.1", "--replicas", "3", *TRACK],
+        "poisson_replicas3": THETA + ["--t-end", "0.2", *POISSON, "--replicas", "3", *TRACK],
+        "gaussian_save": THETA + ["--t-end", "0.3", "--step", "0.1", "--seed", "2", *TRACK, "--save-flow"],
+        "poisson_save": THETA + ["--t-end", "0.2", *POISSON, "--seed", "2", *TRACK, "--save-flow"],
+        "t_end_0_replicas3": THETA + ["--t-end", "0", "--replicas", "3", *TRACK],
+        "t_end_0_save": THETA + ["--t-end", "0", *TRACK, "--save-flow"],
+        "file_base_save": [
+            "--t-end", "0.2", "--step", "0.1", "--seed", "5",
+            "--track-vertex", "4:9", "--track-vertex", "2:1", "--track-vertex", "0:0", "--save-flow",
+        ],
+        "file_base_t_end_0_save": [
+            "--t-end", "0", "--track-vertex", "4:9", "--track-vertex", "2:1", "--save-flow",
+        ],
+    }
+    # recorded from the stored-path implementation
+    DIGESTS = {
+        "file_base_save": {
+            "roots": "89ccdb26f85200e76b7f43117cb22bd4614890f0e8dbbfc3a07c28d06c593c99",
+            "vertices": "891009d511b578ffb9f34789c83ec3e0d950ff51f12fd9214abaf33c2b1060ef",
+            "flow": "aade2d2be49ec9484ca447a16ce93afaad147bacedf5a130a10bc0db3139564c",
+        },
+        "file_base_t_end_0_save": {
+            "roots": "9cfbf6ba79a8c41d8877a1bda786e51f549b4cb795e592d64fd34499aa43d574",
+            "vertices": "6912d7859aeedff946affca7b9523e1712e516f3250f1a0d1be31d9369bb2a63",
+            "flow": "c49fca5592413edbeff921446d786a91730632d186595fd909bd2f1bf001affc",
+        },
+        "gaussian_replicas3": {
+            "roots": "836f46f7899765b78717c533d6886ba227d9c96f433abc1458e91f8e16d5de1f",
+            "vertices": "2139910bceb934a51fd936542f35d7783ae1d7a04350c5b93cc27d646e24b44e",
+        },
+        "gaussian_save": {
+            "roots": "193077364718ac5342631b1a04c9d97aa26733ecbfd89f600a3a696b67be13ba",
+            "vertices": "a1aef8f2874d729c04d440819ab05b8a6f91a83fffbbcaf9b6d0432e35153b18",
+            "flow": "1f0ce3e80b28f006da47f58d0b9616c954a5ba8c6d9dbedcadfdf4d1584ccfaa",
+        },
+        "poisson_replicas3": {
+            "roots": "e43d1e4b8980b69b2e158d46fd254a2781c7211c8e8c30a1d240fd898ba39e32",
+            "vertices": "05171290add8b06c422901ece8c1226adc91f9fdd4c9e8b7ccf1d24b92bbc003",
+        },
+        "poisson_save": {
+            "roots": "3357d74d1ad5fd24a7dfd93f7eb89c796955ff6204a7780af49974ad7147df99",
+            "vertices": "c4e9c3ad728a15ea7b9eeb9047c7e213f699442b34de2402c42a18a280b03007",
+            "flow": "e587e955390f498669d0a993ae3a98b0e68aac36a08a5710a682d0d9cb43a239",
+        },
+        "t_end_0_replicas3": {
+            "roots": "ed2384eff2140817c1efaa23b9627be438269a32dedba47ff860e4c7a57524e3",
+            "vertices": "1106570db072007d31873acddb3cbb56ef2d7108b7313a1834b529a945445ae0",
+        },
+        "t_end_0_save": {
+            "roots": "49bae8c865899189525d79a6cbda19a94d2b2371ee19aa14bb29e86498049ca7",
+            "vertices": "3592c89acea376b469df886daa97188cfdb6676c48dde13853ec118553bd243f",
+            "flow": "ae7339e58df1b1366001b65b9054bc6d8df8f2e4e90b3a4fb1abce0a1c1e4a06",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_digests(self, case, tmp_path):
+        argv = ["simulate", *self.CASES[case]]
+        if case.startswith("file_base"):
+            flow_file = tmp_path / "base.json"
+            flow_file.write_text(_skewed_flow_json())
+            argv[1:1] = ["--measure", str(flow_file)]
+        if argv[-1] == "--save-flow":
+            argv.append(str(tmp_path / "final.json"))
+        names = {"roots": "roots.csv", "vertices": "vertices.csv", "flow": "final.json"}
+        argv += ["--output", str(tmp_path / "roots.csv"), "--vertex-output", str(tmp_path / "vertices.csv")]
+        assert _run(argv) == 0
+        digests = {
+            key: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for key, name in names.items()
+            if (tmp_path / name).exists()
+        }
+        assert digests == self.DIGESTS[case]
 
 
 class TestConfigHandling:

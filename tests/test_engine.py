@@ -164,7 +164,7 @@ class TestSimulatePath:
         grid = engine.make_grid(0.3, 0.1)
         deep = engine.simulate_path(tree.uniform_flow(5), wp.gaussian_spec(), grid, seed=3)
         shallow = engine.simulate_path(
-            tree.uniform_flow(5), wp.gaussian_spec(), grid, seed=3, depth=3
+            tree.truncate(tree.uniform_flow(5), 3), wp.gaussian_spec(), grid, seed=3
         )
         n_shared = (1 << 4) - 2
         for i in range(len(grid)):

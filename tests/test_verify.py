@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from treecascade import engine, observables, tree, verify
+from treecascade import cli, engine, observables, tree, verify
 from treecascade import weights as wp
 from treecascade.rng import derive_seeds
 
@@ -237,27 +237,60 @@ class TestReplicaBlocks:
         monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
         assert outputs() == default
 
-    def test_evolve_never_exceeds_the_block(self, monkeypatch):
+    @pytest.mark.parametrize("kind", [wp.GAUSSIAN, wp.COMPOUND_POISSON])
+    def test_one_row_blocks_match_default_probe_and_cli(self, monkeypatch, tmp_path, kind):
+        spec = wp.gaussian_spec() if kind == wp.GAUSSIAN else wp.compound_poisson_spec()
+        argv = [
+            "simulate", "--measure", "theta", "--depth", "6", "--t-end", "0.2", "--step", "0.1",
+            "--kind", kind, "--replicas", "5", "--seed", "3", "--track-vertex", "6:9",
+            "--track-vertex", "2:1", "--vertex-output", str(tmp_path / "v.csv"),
+            "--output", str(tmp_path / "r.csv"),
+        ]
+
+        def outputs():
+            probe = engine.convergence_probe(tree.uniform_flow(7), spec, 0.3, [3, 6], 1.0, 40, 2)
+            assert cli.run(argv) == 0
+            files = [(tmp_path / name).read_bytes() for name in ("r.csv", "v.csv")]
+            return _hex([(r.mean, r.se) for r in probe.rows]) + files
+
+        default = outputs()
+        monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
+        assert outputs() == default
+
+    def test_evolve_never_exceeds_the_block(self, monkeypatch, tmp_path):
         seen = []
         evolve = engine._evolve
 
-        def wrapped(spec, seeds, durations, depth, *args, **kwargs):
-            seen.append((depth, len(seeds) * engine._flat_size(depth)))
-            return evolve(spec, seeds, durations, depth, *args, **kwargs)
+        def wrapped(spec, seeds, durations, first_step, state, *buffers):
+            depth = (state.shape[1] + 2).bit_length() - 2
+            seen.append((depth, state.size))
+            return evolve(spec, seeds, durations, first_step, state, *buffers)
 
         monkeypatch.setattr(engine, "_evolve", wrapped)
-        monkeypatch.setattr(observables, "_evolve", wrapped)
         # the default block: 32 depth-12 replicas, then the other 8
         verify._root_samples(tree.uniform_flow(12), wp.gaussian_spec(), (0.2,), derive_seeds(1, 40))
         assert seen == [(12, 32 * engine._flat_size(12)), (12, 8 * engine._flat_size(12))]
         assert seen[0][1] <= engine._REPLICA_BLOCK
         seen.clear()
         monkeypatch.setattr(engine, "_REPLICA_BLOCK", 100)
-        verify._root_samples(tree.uniform_flow(4), wp.gaussian_spec(), (0.2,), derive_seeds(1, 50))
-        verify.markov_marginal_pair(depth=4, replicas=50, seed=1)
-        observables.girsanov_check(
-            tree.uniform_flow(4), wp.gaussian_spec(), 0.1, tree.Vertex(2, 1), 50, 1, step=0.05
-        )
+        simulate = ["simulate", "--measure", "theta", "--depth", "4", "--t-end", "0.2"]
+        callers = [
+            lambda: verify._root_samples(
+                tree.uniform_flow(4), wp.gaussian_spec(), (0.2,), derive_seeds(1, 50)
+            ),
+            lambda: verify.markov_marginal_pair(depth=4, replicas=50, seed=1),
+            lambda: observables.girsanov_check(
+                tree.uniform_flow(4), wp.gaussian_spec(), 0.1, tree.Vertex(2, 1), 50, 1, step=0.05
+            ),
+            lambda: engine.convergence_probe(
+                tree.uniform_flow(4), wp.gaussian_spec(), 0.2, [2, 3], 1.0, 50, 1
+            ),
+            lambda: cli.run(simulate + ["--replicas", "50", "--output", str(tmp_path / "r.csv")]),
+        ]
+        for call in callers:
+            evolved = len(seen)
+            call()
+            assert len(seen) > evolved  # each caller evolves through the loop
         # a depth-6 replica (126 elements) is larger than the block: each is a block of its own
         verify._root_samples(tree.uniform_flow(6), wp.gaussian_spec(), (0.2,), derive_seeds(1, 5))
         assert {depth for depth, _ in seen} == {4, 6}

@@ -215,12 +215,22 @@ class TestIncrements:
         # every step of an evolution draws into the same increments and lane buffers
         seeds = rng.derive_seeds(4, 3)
         durations = [0.1, 0.0, 0.05]
-        *_, state = engine._evolve(spec, seeds, durations, 3)
+        *_, (_, _, state) = engine._evolve_blocks(spec, seeds, durations, 3)
         size = engine._flat_size(3)
         want = np.zeros((3, size))
         for j, dt in enumerate(durations):
             want += wp.log_increments_multi(spec, dt, seeds, 1 + j, 0, size)
         assert np.array_equal(state, want)
+
+    def test_single_draw_stores_zero_increments_as_an_add_would(self):
+        # a lone draw goes straight into the zero state; with no compensator
+        # (jump mean -sd^2/2) a jump-free vertex draws -0.0, stored as 0.0 + -0.0
+        spec = wp.compound_poisson_spec(rate=1.0, jump_mean=-0.125, jump_sd=0.5)
+        seeds = rng.derive_seeds(4, 3)
+        increments = wp.log_increments_multi(spec, 0.1, seeds, 2, 0, engine._flat_size(5))
+        assert np.any(np.signbit(increments) & (increments == 0.0))
+        *_, (_, _, state) = engine._evolve_blocks(spec, seeds, [0.0, 0.1], 5)
+        assert state.tobytes() == (np.zeros_like(increments) + increments).tobytes()
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_multi_rejects_negative_duration(self, spec):
