@@ -4,8 +4,10 @@ Each pair runs ``perfbench/run.py`` once in each checkout on the same
 seed, the parent first on even pairs and the change first on odd ones,
 one run at a time.  The JSON written holds the machine, the Python,
 numpy and scipy versions, both commits and, per workload and end-to-end
-metric, the median and quartiles of each side and the number of pairs
-the change won.
+metric, the median and quartiles of each side, the number of pairs the
+change won, the change's median relative to the parent's, the parent's
+quartile spread, and the metric's bound from BENCHMARK.json with whether
+the change's median lies within it.
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --parent-commit abc1234 --change-commit def5678 \\
@@ -36,6 +38,24 @@ def summary(values):
     return {"median": float(med), "q1": float(q1), "q3": float(q3), "runs": values}
 
 
+def compare(parent, change, better, bound):
+    """Both sides' summaries of one metric over paired runs, and the verdict.
+
+    ``relative`` is the change's median relative to the parent's (signed,
+    positive when higher), ``parent_spread`` the parent's (q3 - q1) / median,
+    and ``within_bound`` whether the change's median is worse than the
+    parent's by no more than ``bound``, a share of the parent's median.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    p, c = summary(parent), summary(change)
+    relative = c["median"] / p["median"] - 1.0
+    return {"better": better, "parent": p, "change": c, "pairs_won": int(won),
+            "pairs": len(parent), "relative": relative,
+            "parent_spread": (p["q3"] - p["q1"]) / p["median"], "bound": bound,
+            "within_bound": bool(sign * relative <= bound)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="source checkout of the parent commit")
@@ -49,7 +69,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     with open(Path(args.change) / "BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
     doc = {
         "machine": {"platform": platform.platform(), "processor": platform.machine(),
                     "cpus": os.cpu_count()},
@@ -71,13 +91,10 @@ def main(argv=None):
                 print(f"{workload} seed {seed} {side}: "
                       f"{result['metrics']['wall_s']['value']:.3f} s", file=sys.stderr)
         metrics = {}
-        for name, direction in better.items():
-            sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-            sign = 1.0 if direction == "lower" else -1.0
-            won = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-            metrics[name] = {"better": direction, "parent": summary(sides["parent"]),
-                             "change": summary(sides["change"]), "pairs_won": int(won),
-                             "pairs": len(args.seeds)}
+        for m in end_to_end:
+            parent, change = ([r["metrics"][m["name"]]["value"] for r in runs[side]]
+                              for side in ("parent", "change"))
+            metrics[m["name"]] = compare(parent, change, m["better"], m["bound"])
         doc["workloads"][workload] = {
             "seeds": args.seeds,
             "all_correct": all(r["correct"] for side in runs.values() for r in side),

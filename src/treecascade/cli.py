@@ -20,9 +20,9 @@ Runs are single-threaded; ``--threads`` is still accepted and checked
 """
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
@@ -287,12 +287,13 @@ def _emit(text, path):
         Path(path).write_text(text)
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _write_csv(header, rows, path):
+    # rows go to the file, or stdout, as the writer takes them: no text is
+    # held; newlines are handled as ``Path.write_text`` handles them
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _json_text(doc):
@@ -346,7 +347,7 @@ def _cmd_simulate(cfg, parser):
         for i, t in enumerate(grid)
         for r in range(replicas)
     )
-    _emit(_csv_text(["time", "replica", "root_mass"], rows), cfg.get("output"))
+    _write_csv(["time", "replica", "root_mass"], rows, cfg.get("output"))
     if vertices:
         vrows = (
             [repr(float(t)), r, v.depth, v.bits, repr(float(series[i, r, c]))]
@@ -355,7 +356,7 @@ def _cmd_simulate(cfg, parser):
             for c, v in enumerate(vertices, start=1)
         )
         header = ["time", "replica", "vertex_depth", "path_bits", "mass"]
-        _emit(_csv_text(header, vrows), cfg["vertex_output"])
+        _write_csv(header, vrows, cfg["vertex_output"])
 
     if save:
         save_flow(final, cfg["save_flow"])

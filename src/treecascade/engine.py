@@ -19,9 +19,10 @@ which yields (rows, step, state) for each replica block and grid step;
 paths, replica statistics, fresh cascades and ``cli simulate`` read what
 they need from it, and a single path is a batch of one seed.  Blocks are
 sized by bytes (``_replica_blocks``): each block's state holds at most
-``_REPLICA_BLOCK`` elements, or one replica past depth 17, so a step's
-working set stays in cache.  Rows are independent, so every statistic is
-the same bit for bit whatever the block size.
+``_BLOCK`` elements (256 KiB), or one replica past depth 13, so a step
+holds a few such buffers whatever the replica count.  Rows are
+independent, so every statistic is the same bit for bit whatever the
+block size.
 
 Weight state is accumulated in log space; masses exponentiate only when a
 snapshot is materialized: leaf log-states are summed root first along each
@@ -78,23 +79,14 @@ __all__ = [
 ]
 
 
-# Largest replica-block state, in elements, that ``_evolve_blocks`` owns
-# (2 MiB of float64, about one core's share of L2): 32 rows at depth 12,
-# 8 at depth 14.
-_REPLICA_BLOCK = 1 << 18
-
-
-# Largest block, in leaf masses of the vertex's subtree, that one batched
-# step of ``CascadePath.vertex_mass_series`` reduces (512 KiB of float64):
-# four snapshots for the root at depth 14.
-_SERIES_BLOCK = 1 << 16
-
-
-# Largest level, in elements, that ``_logx_levels`` widens with two strided
-# adds, which beat np.repeat plus an add while the arrays stay in cache.
-# Wider levels, as in (R, size) replica batches, are bound by memory
-# traffic, which the strided writes double: 25 % slower at (256, 2^12).
-_STRIDED_WIDEN_MAX = 1 << 16
+# Largest block, in float64 elements (256 KiB), of every batched loop: a
+# replica block's state in ``_evolve_blocks`` (4 rows at depth 12, 2 at
+# depth 13, one past) and a block of subtree leaves in ``_vertex_masses``
+# (two depth-14 root snapshots).  Peak RSS, not speed, sets it: from 2^18
+# down to 2^15 the peak of the depth-12 verify benchmark (replica_stats)
+# fell from 110.6 to 102.5 MB, CPU per round unchanged beyond noise;
+# 2^14 saved 0.4 MB more.
+_BLOCK = 1 << 15
 
 
 def _flat_size(depth):
@@ -102,17 +94,17 @@ def _flat_size(depth):
     return (1 << (depth + 1)) - 2
 
 
-def _blocks(count, width, budget):
+def _blocks(count, width):
     """Slices of ``range(count)``, each as many rows of ``width`` elements as
-    ``budget`` elements hold (at least one row)."""
-    rows = max(1, budget // max(width, 1))
+    ``_BLOCK`` elements hold (at least one row)."""
+    rows = max(1, _BLOCK // max(width, 1))
     for lo in range(0, count, rows):
         yield slice(lo, min(lo + rows, count))
 
 
 def _replica_blocks(count, depth):
-    """Blocks of ``count`` replicas whose depth-``depth`` state fits ``_REPLICA_BLOCK``."""
-    return _blocks(count, _flat_size(depth), _REPLICA_BLOCK)
+    """Blocks of ``count`` replicas whose depth-``depth`` state fits ``_BLOCK``."""
+    return _blocks(count, _flat_size(depth))
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,16 +135,13 @@ def _logx_levels(cum, slices):
         step = cum[..., sl]
         if step.shape[-1] == logx.shape[-1]:
             logx += step
-        elif step.size <= _STRIDED_WIDEN_MAX:
+        else:
             # each parent's log X plus its two children's state, into a
             # new array twice as wide
             wide = np.empty(step.shape)
             np.add(logx, step[..., 0::2], out=wide[..., 0::2])
             np.add(logx, step[..., 1::2], out=wide[..., 1::2])
             logx = wide
-        else:
-            logx = np.repeat(logx, 2, axis=-1)
-            logx += step
         yield logx
 
 
@@ -220,7 +209,7 @@ def _vertex_masses(base, cum, vertices):
 
     Shape (rows, len(vertices)), from each vertex's root path and subtree
     alone, read in place, one batched product and reduction per block of
-    rows that ``_SERIES_BLOCK`` subtree leaves hold.  Grid index 0 is the
+    rows that ``_BLOCK`` subtree leaves hold.  Grid index 0 is the
     caller's: it reads the base flow's own masses.
     """
     n = base.depth
@@ -229,7 +218,7 @@ def _vertex_masses(base, cum, vertices):
         if v.depth > n:
             raise ValueError(f"vertex depth {v.depth} exceeds path depth {n}")
         sub = base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
-        for rows in _blocks(len(cum), len(sub), _SERIES_BLOCK):
+        for rows in _blocks(len(cum), len(sub)):
             leaves = _leaf_masses(sub, cum[rows], _level_slices(n, v))
             out[rows, c] = _levels_from_leaves(leaves)[0][:, 0]
     return out

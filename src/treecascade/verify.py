@@ -13,11 +13,11 @@ rather than a verdict it cannot support.
 
 The replica-batched tests (martingale means, the Markov marginal) read
 their states from engine's one evolution loop, ``engine._evolve_blocks``,
-in blocks of at most ``engine._REPLICA_BLOCK`` state elements: a step's
-state stays within 2 MiB whatever the replica count and depth (past depth
-17 one replica is a block).  Rows are independent, so every statistic is
-the same bit for bit whatever the block size.  Blocks run one after
-another in the calling thread.
+in blocks of at most ``engine._BLOCK`` state elements: a step's state
+stays within 256 KiB whatever the replica count (4 replicas at depth 12;
+past depth 13 one replica is a block, as large as its depth makes it).
+Rows are independent, so every statistic is the same bit for bit whatever
+the block size.  Blocks run one after another in the calling thread.
 """
 
 import hashlib

@@ -38,8 +38,8 @@ def _series_case(case):
     if base.depth < 14:
         # every vertex: the root, both depth-1 vertices, the leaves at both ends
         return path, [tree.Vertex(d, b) for d in range(base.depth + 1) for b in range(1 << d)]
-    # the root's blocks hold four snapshots each, so five split two ways
-    assert engine._SERIES_BLOCK // 2**14 == 4
+    # the root's blocks hold two snapshots each, so five split 2 + 2 + 1
+    assert engine._BLOCK // 2**14 == 2
     return path, [tree.ROOT, tree.Vertex(14, 12345), tree.Vertex(3, 5)]
 
 
@@ -269,13 +269,10 @@ class TestSimulatePath:
             "depth1": (tree.uniform_flow(1), tree.ROOT),
             "zero_leaves": (tree.flow_from_leaves(leaves), tree.ROOT),
             "subtree": (tree.flow_from_leaves(leaves), tree.Vertex(2, 1)),
-            # the batch's deepest level is widened by np.repeat, each row's
-            # alone by strided adds: both give the same bits
+            # a batch wider than the block budget, as one row of each
+            # replica: both give the same bits
             "wide_batch": (tree.uniform_flow(14), tree.ROOT),
         }[case]
-        if case == "wide_batch":
-            assert 5 << 13 <= engine._STRIDED_WIDEN_MAX < 5 << 14
-            assert 1 << 14 <= engine._STRIDED_WIDEN_MAX
         n = base.depth
         size = engine._flat_size(n)
         cum = wp.log_increments_multi(wp.gaussian_spec(), 0.4, derive_seeds(8, 5), 1, 0, size)

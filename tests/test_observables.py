@@ -192,5 +192,5 @@ def test_girsanov_one_row_blocks_match_default(monkeypatch, depth):
         return [float(x).hex() for x in (r.tilted_mean, r.predicted_mean, r.statistic, r.se)]
 
     default = report()
-    monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
+    monkeypatch.setattr(engine, "_BLOCK", 1)
     assert report() == default

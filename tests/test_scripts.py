@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _main(name):
+def _module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _main(name):
+    return _module(name).main
 
 
 CASES = {
@@ -41,3 +46,37 @@ def test_bench_compare_help(capsys):
         _main("bench_compare")(["--help"])
     assert exc.value.code == 0
     assert "--parent" in capsys.readouterr().out
+
+
+def test_bench_compare_summarizes_synthetic_runs(tmp_path, monkeypatch):
+    # made-up runs stand in for perfbench: per seed, the parent's wall time
+    # is 10 + seed and the change's 10.4 + seed; its rate 100 on both sides
+    module = _module("bench_compare")
+
+    def run_once(checkout, workload, seed, seconds):
+        change = checkout == "."
+        values = {"wall_s": 10.0 + seed + 0.4 * change, "setup_s": 1.0,
+                  "peak_rss_mb": 100.0 - change, "vertex_steps_per_s": 100.0}
+        return {"correct": True, "failed": 0,
+                "metrics": {k: {"value": v} for k, v in values.items()}}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.chdir(SCRIPTS.parent)  # BENCHMARK.json of --change
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "parent", "--change", ".", "--parent-commit", "a", "--change-commit",
+            "b", "--workload", "w", "--seeds", "0", "1", "2", "3", "4", "-o", str(out)]
+    assert module.main(argv) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    wall = metrics["wall_s"]
+    assert wall["parent"]["median"] == 12.0 and wall["change"]["median"] == 12.4
+    assert wall["relative"] == pytest.approx(0.4 / 12.0)
+    assert wall["parent_spread"] == pytest.approx(2.0 / 12.0)  # q1 11, q3 13
+    assert wall["bound"] == 0.25 and wall["within_bound"] and wall["pairs_won"] == 0
+    rss = metrics["peak_rss_mb"]
+    assert rss["relative"] == pytest.approx(-0.01) and rss["within_bound"]
+    assert rss["pairs_won"] == 5 and rss["parent_spread"] == 0.0
+    # a higher-is-better metric is within its bound while it falls no more than it
+    assert metrics["vertex_steps_per_s"]["within_bound"]
+    assert not module.compare([100.0] * 3, [70.0] * 3, "higher", 0.25)["within_bound"]
+    assert module.compare([100.0] * 3, [80.0] * 3, "higher", 0.25)["within_bound"]
+    assert not module.compare([1.0] * 3, [1.3] * 3, "lower", 0.25)["within_bound"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,17 +213,18 @@ def _hex(values):
 
 
 class TestReplicaBlocks:
-    """Replica loops evolve seeds in blocks of at most ``_REPLICA_BLOCK`` state elements."""
+    """Replica loops evolve seeds in blocks of at most ``_BLOCK`` state elements."""
 
     def test_rows_per_block(self):
-        assert engine._REPLICA_BLOCK // engine._flat_size(12) == 32
-        assert engine._REPLICA_BLOCK // engine._flat_size(14) == 8
+        assert engine._BLOCK // engine._flat_size(12) == 4
+        assert engine._BLOCK // engine._flat_size(13) == 2
+        assert engine._BLOCK // engine._flat_size(14) == 1
         for depth, count in [(0, 5), (3, 20000), (12, 100), (14, 17), (18, 3)]:
             blocks = list(engine._replica_blocks(count, depth))
             assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
             assert blocks[-1].stop == count
             rows = {b.stop - b.start for b in blocks[:-1]}
-            assert rows <= {max(1, engine._REPLICA_BLOCK // max(engine._flat_size(depth), 1))}
+            assert rows <= {max(1, engine._BLOCK // max(engine._flat_size(depth), 1))}
         assert list(engine._replica_blocks(0, 5)) == []
 
     @pytest.mark.parametrize("base", [tree.uniform_flow(0), tree.uniform_flow(5)], ids=["depth0", "depth5"])
@@ -234,7 +236,7 @@ class TestReplicaBlocks:
             return _hex(roots) + _hex([r.statistic for r in pair])
 
         default = outputs()
-        monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
+        monkeypatch.setattr(engine, "_BLOCK", 1)
         assert outputs() == default
 
     @pytest.mark.parametrize("kind", [wp.GAUSSIAN, wp.COMPOUND_POISSON])
@@ -254,8 +256,23 @@ class TestReplicaBlocks:
             return _hex([(r.mean, r.se) for r in probe.rows]) + files
 
         default = outputs()
-        monkeypatch.setattr(engine, "_REPLICA_BLOCK", 1)
+        monkeypatch.setattr(engine, "_BLOCK", 1)
         assert outputs() == default
+
+    @pytest.mark.parametrize("entry", [verify.test_markov_marginal, verify.test_martingale])
+    def test_replica_entry_peak_memory(self, entry):
+        # a depth-12, 500-replica entry holds a few block-sized buffers at a
+        # time (about 1.2 MB at the 256 KiB budget, 8 MB at a 2 MiB one),
+        # the Markov entry's outer block included, live through its inner
+        # evolutions
+        entry(depth=3, replicas=10)  # imports, out of the figure
+        tracemalloc.start()
+        try:
+            entry(depth=12, replicas=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_evolve_never_exceeds_the_block(self, monkeypatch, tmp_path):
         seen = []
@@ -267,12 +284,12 @@ class TestReplicaBlocks:
             return evolve(spec, seeds, durations, first_step, state, *buffers)
 
         monkeypatch.setattr(engine, "_evolve", wrapped)
-        # the default block: 32 depth-12 replicas, then the other 8
-        verify._root_samples(tree.uniform_flow(12), wp.gaussian_spec(), (0.2,), derive_seeds(1, 40))
-        assert seen == [(12, 32 * engine._flat_size(12)), (12, 8 * engine._flat_size(12))]
-        assert seen[0][1] <= engine._REPLICA_BLOCK
+        # the default block: 4 depth-12 replicas, ten times, then the other 2
+        verify._root_samples(tree.uniform_flow(12), wp.gaussian_spec(), (0.2,), derive_seeds(1, 42))
+        assert seen == [(12, 4 * engine._flat_size(12))] * 10 + [(12, 2 * engine._flat_size(12))]
+        assert seen[0][1] <= engine._BLOCK
         seen.clear()
-        monkeypatch.setattr(engine, "_REPLICA_BLOCK", 100)
+        monkeypatch.setattr(engine, "_BLOCK", 100)
         simulate = ["simulate", "--measure", "theta", "--depth", "4", "--t-end", "0.2"]
         callers = [
             lambda: verify._root_samples(
