@@ -7,7 +7,9 @@ numpy and scipy versions, both commits and, per workload and end-to-end
 metric, the median and quartiles of each side, the number of pairs the
 change won, the change's median relative to the parent's, the parent's
 quartile spread, and the metric's bound from BENCHMARK.json with whether
-the change's median lies within it.
+the change's median lies within it.  The file is rewritten after every
+pair, so a run stopped part way keeps the pairs that finished; each
+workload's ``seeds`` and ``pairs`` count those.
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --parent-commit abc1234 --change-commit def5678 \\
@@ -56,6 +58,22 @@ def compare(parent, change, better, bound):
             "within_bound": bool(sign * relative <= bound)}
 
 
+def _workload_record(runs, seeds, end_to_end):
+    """One workload's entry: its finished pairs' seeds and each metric's comparison."""
+    metrics = {}
+    for m in end_to_end:
+        parent, change = ([r["metrics"][m["name"]]["value"] for r in runs[side]]
+                          for side in ("parent", "change"))
+        metrics[m["name"]] = compare(parent, change, m["better"], m["bound"])
+    return {
+        "seeds": seeds,
+        "pairs": len(seeds),
+        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "failed_ops": sum(r["failed"] for side in runs.values() for r in side),
+        "metrics": metrics,
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="source checkout of the parent commit")
@@ -90,20 +108,10 @@ def main(argv=None):
                 runs[side].append(result)
                 print(f"{workload} seed {seed} {side}: "
                       f"{result['metrics']['wall_s']['value']:.3f} s", file=sys.stderr)
-        metrics = {}
-        for m in end_to_end:
-            parent, change = ([r["metrics"][m["name"]]["value"] for r in runs[side]]
-                              for side in ("parent", "change"))
-            metrics[m["name"]] = compare(parent, change, m["better"], m["bound"])
-        doc["workloads"][workload] = {
-            "seeds": args.seeds,
-            "all_correct": all(r["correct"] for side in runs.values() for r in side),
-            "failed_ops": sum(r["failed"] for side in runs.values() for r in side),
-            "metrics": metrics,
-        }
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            doc["workloads"][workload] = _workload_record(runs, args.seeds[: k + 1], end_to_end)
+            with open(args.output, "w") as fh:
+                json.dump(doc, fh, indent=1)
+                fh.write("\n")
     return 0
 
 

@@ -7,7 +7,10 @@ slope should sit near 1/2 at every depth once the truncation floor
 2^-depth is well below the typical distances.  Paths are streamed into
 the distance reader and never stored, so memory does not grow with the
 number of grid times; the process's peak RSS so far is printed to
-stderr after each depth.
+stderr after each depth.  A lag L's pairs start on multiples of
+ceil(L/2), so long lags get fewer pairs than the pair budget (lag 64
+over 129 times: 3 pairs), and the reader holds at most 2 * len(lags) + 1
+snapshots whatever the budget.
 
     python3 scripts/holder_sweep.py --depths 8 10 12 --replicas 8 -o holder.csv
 """

@@ -10,8 +10,11 @@ between saved flows, or the Hölder slope of simulated paths), ``kpz``
 Each flag is one row of a table (flag, default, help, argparse extras),
 one tuple of rows per subcommand; the weight-law rows are shared.  The
 parser and each subcommand's config keys and defaults are built from it.
-Every input can come from a JSON config file (``--config``); explicit
-flags override file values, and ``--dump-config`` prints the merged
+Every input can come from a JSON config file (``--config``), whose
+values pass their flags' type checks (an integer flag takes a JSON
+integer, a number flag a JSON number, a repeatable flag a list of
+strings, and null where the flag has no default); explicit flags
+override file values, and ``--dump-config`` prints the merged
 effective config without running.  Outputs are CSV (RFC 4180,
 CRLF line endings, round-trip float formatting) or JSON with sorted
 keys, so identical (argv, seed) runs produce byte-identical files.
@@ -223,6 +226,23 @@ def _build_parser():
     return parser
 
 
+def _config_type_error(value, default, extras):
+    """What a config-file value must be to pass its flag row's type, or None
+    if it passes: argparse checks the flag's own value, not the file's."""
+    kind = extras.get("type")
+    if extras.get("action") == "append":
+        want = "a list of strings"
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif kind in (int, float):
+        want = "an integer" if kind is int else "a number"
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    else:
+        return None
+    if default is None:
+        want, ok = f"{want} or null", ok or value is None
+    return None if ok else want
+
+
 def _effective_config(ns, parser):
     cmd = ns.command
     effective = dict(_DEFAULTS[cmd])
@@ -238,6 +258,11 @@ def _effective_config(ns, parser):
         unknown = set(loaded) - set(effective)
         if unknown:
             parser.error(f"unknown config keys for {cmd}: {sorted(unknown)}")
+        for flag, default, _, extras in _COMMANDS[cmd][1]:
+            key = _key(flag)
+            want = key in loaded and _config_type_error(loaded[key], default, extras)
+            if want:
+                parser.error(f"config key {key!r} takes {want}, got {loaded[key]!r}")
         effective.update(loaded)
     effective.update(flags)
     missing = [k for k, v in effective.items() if v is _REQUIRED]
@@ -470,7 +495,10 @@ def _cmd_kpz(cfg, parser):
     if t < 0:
         parser.error("--t must be nonnegative")
     raw = cfg["scale_exponents"]
-    exps = [int(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
+    try:
+        exps = [int(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
+    except (TypeError, ValueError):
+        parser.error(f"--scale-exponents needs comma-separated integers, got {raw!r}")
     if any(m < 1 for m in exps) or len(exps) < 2:
         parser.error("--scale-exponents needs at least two positive integers")
     if max(exps) > depth:

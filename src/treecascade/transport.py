@@ -16,11 +16,13 @@ Hölder distances come from one reader, ``HolderPairs``, fed a path's
 snapshots in time order, by ``engine.stream_path`` or by a stored
 path's rows.  Each snapshot a pair reads is materialized once, divided
 by the root into a new buffer of its levels 1..n, and held only while a
-later pair still reads it; the live set never exceeds the pairs
-spanning the current snapshot plus one: 32 buffers of 256 KiB at most
-for depth 14 with lags up to 64 over 301 snapshots.  The per-level
-sums, here and in the coupling bound, are numpy reductions, not a BLAS
-dot, so the results are the same at any BLAS thread count.
+later pair still reads it.  A lag L's pairs start on multiples of
+ceil(L/2), so at most two of them span any snapshot, and the live set
+never exceeds 2 * len(lags) + 1 buffers, whatever the pair budget and
+the number of snapshots: 15 of 256 KiB at most for depth 14 with lags
+up to 64 (8 are reached over 301 snapshots).  The per-level sums, here
+and in the coupling bound, are numpy reductions, not a BLAS dot, so the
+results are the same at any BLAS thread count.
 """
 
 import functools
@@ -157,9 +159,17 @@ def holder_lags(n_times):
 
 
 def _lag_starts(n_times, lag, pair_budget):
-    n_pairs = n_times - lag
-    k = min(pair_budget, n_pairs)
-    return np.unique(np.linspace(0, n_pairs - 1, k).round().astype(np.int64))
+    # Starts fall on multiples of ceil(lag / 2), so two starts of one lag lie
+    # at least lag / 2 apart and at most two of its pairs span any snapshot;
+    # dyadic lags share endpoints, since each candidate start of 2L is one of L.
+    # The factor 2 is set by the slope's spread: over 40 gauss_paths-shaped
+    # fits (4 depth-14 paths, 301 times, lags 1..64) its sd is 0.0221 with
+    # every start a candidate, 0.0224 with this stride, and 0.0268 with
+    # starts on multiples of the lag itself, which holds one snapshot a lag.
+    stride = -(-lag // 2)
+    n_starts = (n_times - 1 - lag) // stride + 1
+    k = min(pair_budget, n_starts)
+    return stride * np.unique(np.linspace(0, n_starts - 1, k).round().astype(np.int64))
 
 
 class HolderPairs:
@@ -167,7 +177,10 @@ class HolderPairs:
 
     ``times``, those of the snapshots it reads, must be uniformly spaced,
     and every lag an integer in [1, len(times)).  ``distances`` is a list
-    of (lag_time, distances), up to pair_budget evenly spaced pairs a lag.
+    of (lag_time, distances): a lag L's pairs (i, i + L) start on
+    multiples of ceil(L/2), up to pair_budget of them evenly spaced among
+    those.  So at most two pairs of a lag span any snapshot, and ``held``
+    never holds more than 2 * len(lags) + 1 normalized snapshots.
     """
 
     def __init__(self, times, depth, pair_budget=64, lags=None):

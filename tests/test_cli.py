@@ -241,6 +241,41 @@ class TestConfigHandling:
             _run(["simulate", "--config", str(cfg), "--measure", "theta", "--depth", "3", "--t-end", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [
+            ("replicas", 2.7, "an integer"),
+            ("seed", 1.5, "an integer"),
+            ("depth", 3.9, "an integer or null"),
+            ("replicas", True, "an integer"),
+            ("t_end", [1], "a number"),
+            ("step", "0.1", "a number"),
+            ("t_end", None, "a number"),
+            ("track_vertex", "1:0", "a list of strings or null"),
+            ("track_vertex", [[1, 0]], "a list of strings or null"),
+        ],
+        ids=["replicas_float", "seed_float", "depth_float", "replicas_bool", "t_end_list",
+             "step_string", "t_end_null", "track_vertex_string", "track_vertex_nested"],
+    )
+    def test_config_value_of_wrong_type_rejected(self, key, value, want, tmp_path, capsys):
+        # argparse checks a flag's type; a config file's value gets the same check
+        cfg = tmp_path / "cfg.json"
+        doc = {"depth": 3, "t_end": 0.1, "vertex_output": str(tmp_path / "v.csv"), key: value}
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            _run(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert f"config key {key!r} takes {want}, got {value!r}" in capsys.readouterr().err
+
+    def test_config_values_of_the_flag_types_accepted(self, tmp_path, capsys):
+        # integers for floats, null where the flag has no default
+        doc = {"max_depth": None, "t": 1, "h_min": 0, "h_count": 5, "rate": None}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert _run(["analyze", "--config", str(cfg), "--dump-config"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert {k: dumped[k] for k in doc} == doc
+
     @pytest.mark.parametrize("jump", [["--rate", "0"], ["--jump-sd", "-1"]])
     def test_invalid_jump_law_rejected(self, jump):
         with pytest.raises(SystemExit) as exc:
@@ -503,6 +538,13 @@ class TestKpz:
         with pytest.raises(SystemExit) as exc:
             _run(["kpz", "--mode", "box", "--depth", "8", "--t", "0", "--scale-exponents", "4,10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("raw", ["4,x", "", "4,,6"])
+    def test_box_malformed_scale_exponents_rejected(self, raw, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["kpz", "--mode", "box", "--depth", "8", "--t", "0", "--scale-exponents", raw])
+        assert exc.value.code == 2
+        assert "--scale-exponents needs comma-separated integers" in capsys.readouterr().err
 
     def test_box_negative_time_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -80,3 +80,30 @@ def test_bench_compare_summarizes_synthetic_runs(tmp_path, monkeypatch):
     assert not module.compare([100.0] * 3, [70.0] * 3, "higher", 0.25)["within_bound"]
     assert module.compare([100.0] * 3, [80.0] * 3, "higher", 0.25)["within_bound"]
     assert not module.compare([1.0] * 3, [1.3] * 3, "lower", 0.25)["within_bound"]
+
+
+def test_bench_compare_keeps_finished_pairs(tmp_path, monkeypatch):
+    # a run that fails on the third pair leaves the two pairs before it on disk
+    module = _module("bench_compare")
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(seed)
+        if seed == 2:
+            raise RuntimeError("run failed")
+        return {"correct": True, "failed": 0,
+                "metrics": {k: {"value": 1.0 + seed} for k in
+                            ("wall_s", "setup_s", "peak_rss_mb", "vertex_steps_per_s")}}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.chdir(SCRIPTS.parent)  # BENCHMARK.json of --change
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "parent", "--change", ".", "--parent-commit", "a", "--change-commit",
+            "b", "--workload", "w", "--seeds", "0", "1", "2", "3", "-o", str(out)]
+    with pytest.raises(RuntimeError, match="run failed"):
+        module.main(argv)
+    assert calls == [0, 0, 1, 1, 2]
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert record["pairs"] == 2 and record["seeds"] == [0, 1]
+    wall = record["metrics"]["wall_s"]
+    assert wall["pairs"] == 2 and wall["parent"]["runs"] == wall["change"]["runs"] == [1.0, 2.0]

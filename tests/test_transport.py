@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -113,11 +114,16 @@ class TestHolderMachinery:
         assert list(transport.holder_lags(5)) == [1, 2]
 
     def test_lag_starts_in_range(self):
-        for n, lag, budget in [(100, 8, 16), (10, 4, 32), (513, 256, 64)]:
+        cases = [(100, 8, 16), (10, 4, 32), (513, 256, 64), (100, 3, 64), (30, 5, 4), (12, 11, 8)]
+        for n, lag, budget in cases:
             starts = transport._lag_starts(n, lag, budget)
             assert len(starts) == len(set(starts))
             assert all(0 <= s and s + lag < n for s in starts)
             assert len(starts) <= budget
+            # on multiples of ceil(lag / 2), odd lags too: no two closer than lag / 2
+            assert all(s % -(-lag // 2) == 0 for s in starts)
+        # every candidate taken while the budget allows: 0, 2, ..., 96 for lag 3
+        assert list(transport._lag_starts(100, 3, 64)) == list(range(0, 97, 2))
 
     def test_distances_shape_and_positivity(self):
         base = tree.uniform_flow(6)
@@ -269,14 +275,16 @@ class TestHolderSweep:
             if path.depth == 0:
                 assert np.all(dists == 0.0)
 
+    # recorded with lag L's starts on multiples of ceil(L/2); the same bits as
+    # the earlier all-index reader gives for those pairs
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ("depth0", "b6f262e995256c5f3b34fdebcfe2fb9ff7bed1caab8b1568cc869e5ae6e6da38"),
-            ("depth1", "9ba1e635b9b701b906d4aa62eeb55cbd0acaea5a6184e92348563ed0bab42cc4"),
-            ("subset_with_time0", "9b6ad1fe8b46d7b76e6c4302473ec7fb9af0b59175449fa08bc5a4b4ad2d338e"),
-            ("subset_without_time0", "f97926bb82d3727f13522b9863592e3382741edddbad564cf291e0c40494357e"),
-            ("zero_leaves_cp", "38d782b96314cddb7e1634ac4f129cb12eca84da6cc9cdc222434be0fcedee6d"),
+            ("depth0", "f1fc9696c311df3b033dffc7d9244432862b8b25f512ca6ccc9bc3ad828a0141"),
+            ("depth1", "4015214221d1611f6eff6cd8540f3ee81ba60a08efc06cb4e573d1cc53e71a7c"),
+            ("subset_with_time0", "2c2bec608dd7f5ed32e69e5b0725cc5e7c52e67ce05fd4c1bb805d815f923cf7"),
+            ("subset_without_time0", "6750161bf917034a65f1292d6a82f4f08a1cdd1b8f66002a971d9f38f35ad23a"),
+            ("zero_leaves_cp", "be28e9ad9e4a82770ece7a90db0a14ba10f3ecea21c2d85d31d2b3fb578c09e2"),
         ],
     )
     def test_distances_frozen(self, case, digest):
@@ -304,7 +312,8 @@ class TestHolderSweep:
         # no time 0: the base snapshot's leaves live as long as the path does
         path = _gauss_path(4, 0.5, 0.005, np.arange(1, 101) / 200)
         lags = (1, 2, 8, 32)
-        pairs = [pair for lag_pairs in _pairs(path.n_snapshots, lags, 12) for pair in lag_pairs]
+        by_lag = _pairs(path.n_snapshots, lags, 12)
+        pairs = [pair for lag_pairs in by_lag for pair in lag_pairs]
         last = {}
         for i, j in pairs:
             last[i] = max(last.get(i, i), j)
@@ -322,6 +331,9 @@ class TestHolderSweep:
             assert set(held) == {i for i in last if i < s <= last[i]}
             spanning = sum(i < s <= j for i, j in pairs)
             assert len(held) <= spanning
+            # at most two open starts a lag; with s about to join, 2 * len(lags) + 1
+            assert all(sum(i < s <= j for i, j in lag_pairs) <= 2 for lag_pairs in by_lag)
+            assert len(held) + 1 <= 2 * len(lags) + 1
             refs.update((i, weakref.ref(a)) for i, a in held.items())
             checked.append(len(held))
             return mass_levels(self, s)
@@ -371,6 +383,22 @@ class TestHolderSweep:
         engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, [reader], seed=3)
         assert len(sizes) > 30 and max(sizes) > 1
         assert reader.held == {}
+
+    def test_streamed_sweep_memory_bounded(self):
+        # holder_sweep.py's shape at depth 12: 129 times, default lags, budget 48;
+        # each held snapshot is 2^13 - 2 floats, 64 KiB.  The reader holds at
+        # most 15 of them, the evolution a few more; a pair on every start
+        # would hold 54, a 3.7 MiB peak
+        grid = engine.make_grid(0.5, 2.0**-8)
+        assert len(transport.holder_lags(len(grid))) == 7
+        base, spec = tree.uniform_flow(12), wp.gaussian_spec()
+        tracemalloc.start()
+        try:
+            transport.streamed_holder_exponent(base, spec, grid, [5], pair_budget=48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 64 * 1024
 
     def test_streamed_fit_matches_stored(self):
         base, spec = tree.uniform_flow(6), wp.gaussian_spec()
