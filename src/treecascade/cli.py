@@ -7,19 +7,21 @@ between saved flows, or the Hölder slope of simulated paths), ``kpz``
 (dimension ODE solutions and box-counting estimates), and ``verify``
 (the statistical test suite).
 
-Each flag is one row of a table (flag, default, help, argparse extras),
-one tuple of rows per subcommand; the weight-law rows are shared.  The
-parser and each subcommand's config keys and defaults are built from it.
-Every input can come from a JSON config file (``--config``), whose
-values pass their flags' type checks (an integer flag takes a JSON
-integer, a number flag a JSON number, a repeatable flag a list of
-strings, and null where the flag has no default); explicit flags
-override file values, and ``--dump-config`` prints the merged
-effective config without running.  Outputs are CSV (RFC 4180,
-CRLF line endings, round-trip float formatting) or JSON with sorted
-keys, so identical (argv, seed) runs produce byte-identical files.
-Runs are single-threaded; ``--threads`` is still accepted and checked
-(an integer >= 1) but changes nothing.
+Each flag is one row of a table (flag, default, help, lower bound,
+argparse extras), one tuple of rows per subcommand; the weight-law rows
+are shared.  The parser and each subcommand's config keys and defaults
+are built from it, and it is the one check of a key's value, whether
+the value came from a flag, a JSON config file (``--config``) or the
+defaults: its kind (an integer flag takes a JSON integer, a number flag
+a JSON number, a switch a boolean, a repeatable flag a list of strings,
+any other flag a string, and null where the flag has no default), its
+choices and its lower bound.  Explicit flags override file values; the
+check runs before any handler and before ``--dump-config``, which
+prints the merged effective config without running.  Outputs are CSV
+(RFC 4180, CRLF line endings, round-trip float formatting) or JSON with
+sorted keys, so identical (argv, seed) runs produce byte-identical
+files.  Runs are single-threaded; ``--threads`` is still accepted and
+checked (an integer >= 1) but changes nothing.
 """
 
 import argparse
@@ -42,10 +44,11 @@ __all__ = ["run", "main"]
 _REQUIRED = object()
 
 
-def _flag(flag, default, help, **argparse_extras):
+def _flag(flag, default, help, low=None, **argparse_extras):
     """One row of the flag table.  Its config key is argparse's dest: the
-    flag without its dashes, ``-`` turned into ``_``."""
-    return flag, default, help, argparse_extras
+    flag without its dashes, ``-`` turned into ``_``; ``low`` is the least
+    value the key may take (argparse never sees it)."""
+    return flag, default, help, low, argparse_extras
 
 
 def _key(flag):
@@ -90,11 +93,12 @@ _SIMULATE = (
         "--depth",
         None,
         "truncation depth in tree levels (required for theta; truncates a loaded flow)",
+        low=0,
         type=int,
     ),
     _flag("--t-end", _REQUIRED, "final time (model time units)", type=float),
     _flag("--step", 0.01, "grid step (model time units)", type=float),
-    _flag("--replicas", 1, "independent path count", type=int),
+    _flag("--replicas", 1, "independent path count", low=1, type=int),
     _flag("--seed", 0, "master seed", type=int),
     _flag("--output", None, "root-mass CSV path (time,replica,root_mass); stdout when omitted"),
     _flag(
@@ -113,11 +117,17 @@ _SIMULATE = (
 
 _ANALYZE = (
     _flag("--measure", "theta", "'theta' (analytic) or a saved flow file (.json/.csv)"),
-    _flag("--t", _REQUIRED, "evolution time (model time units)", type=float),
+    _flag("--t", _REQUIRED, "evolution time (model time units)", low=0, type=float),
     _flag("--h-min", 0.0, "smallest moment exponent sampled", type=float),
     _flag("--h-max", 4.0, "largest moment exponent sampled", type=float),
-    _flag("--h-count", 17, "number of exponent samples", type=int),
-    _flag("--max-depth", None, "cap the fit depth in tree levels (empirical flows only)", type=int),
+    _flag("--h-count", 17, "number of exponent samples", low=2, type=int),
+    _flag(
+        "--max-depth",
+        None,
+        "cap the fit depth in tree levels (empirical flows only)",
+        low=0,
+        type=int,
+    ),
     _flag("--output", None, "report JSON path; stdout when omitted"),
     _flag("--curves", None, "optional CSV path for (h, pressure, alpha)"),
     *_JUMP_LAW,
@@ -139,11 +149,11 @@ _TRANSPORT = (
         "rescale both flows to unit total mass before comparing",
         action="store_true",
     ),
-    _flag("--depth", 10, "tree depth in levels (holder mode)", type=int),
+    _flag("--depth", 10, "tree depth in levels (holder mode)", low=0, type=int),
     _flag("--t-end", 0.5, "path duration (model time units, holder mode)", type=float),
     _flag("--step", 2.0**-7, "grid step (model time units, holder mode)", type=float),
-    _flag("--replicas", 6, "path count (holder mode)", type=int),
-    _flag("--pair-budget", 32, "snapshot pairs per lag per path (holder mode)", type=int),
+    _flag("--replicas", 6, "path count (holder mode)", low=1, type=int),
+    _flag("--pair-budget", 32, "snapshot pairs per lag per path (holder mode)", low=1, type=int),
     _flag("--seed", 0, "master seed (holder mode)", type=int),
     _flag("--output", None, "result JSON path; stdout when omitted"),
     *_JUMP_LAW,
@@ -160,9 +170,13 @@ _KPZ = (
     _flag("--t-end", None, "final time (model time units, ode mode)", type=float),
     _flag("--step", 1e-3, "solver step (model time units)", type=float),
     _flag(
-        "--t", 0.0, "evolution time of the sampled flow (model time units, box mode)", type=float
+        "--t",
+        0.0,
+        "evolution time of the sampled flow (model time units, box mode)",
+        low=0,
+        type=float,
     ),
-    _flag("--depth", 12, "tree depth in levels (box mode)", type=int),
+    _flag("--depth", 12, "tree depth in levels (box mode)", low=0, type=int),
     _flag("--seed", 0, "master seed (box mode)", type=int),
     _flag(
         "--ray-set",
@@ -196,7 +210,7 @@ _COMMANDS = {
 
 # Per subcommand, each config key with its default.
 _DEFAULTS = {
-    cmd: {_key(flag): default for flag, default, _, _ in rows}
+    cmd: {_key(flag): default for flag, default, *_ in rows}
     for cmd, (_, rows) in _COMMANDS.items()
 }
 _META_KEYS = ("command", *(_key(flag) for flag, *_ in _COMMON))
@@ -206,7 +220,7 @@ _SPEC_FIELDS = tuple(_key(flag) for flag, *_ in _JUMP_LAW)
 def _add_flags(parser, rows):
     # Every default is SUPPRESS, so the namespace holds only the flags given
     # and _effective_config can layer them over the config file.
-    for flag, _, help, extras in rows:
+    for flag, _, help, _, extras in rows:
         parser.add_argument(flag, default=argparse.SUPPRESS, help=help, **extras)
 
 
@@ -227,17 +241,22 @@ def _build_parser():
 
 
 def _config_type_error(value, default, extras):
-    """What a config-file value must be to pass its flag row's type, or None
-    if it passes: argparse checks the flag's own value, not the file's."""
-    kind = extras.get("type")
-    if extras.get("action") == "append":
+    """What a config value must be to pass its flag row's kind and choices,
+    or None if it passes: argparse checks only a flag's own value, so a
+    file's value, or any merged one, gets the same check here."""
+    kind, action, choices = extras.get("type"), extras.get("action"), extras.get("choices")
+    if choices is not None:
+        want, ok = f"one of {list(choices)}", value in choices
+    elif action == "append":
         want = "a list of strings"
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif action == "store_true":
+        want, ok = "a boolean", isinstance(value, bool)
     elif kind in (int, float):
         want = "an integer" if kind is int else "a number"
         ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
     else:
-        return None
+        want, ok = "a string", isinstance(value, str)
     if default is None:
         want, ok = f"{want} or null", ok or value is None
     return None if ok else want
@@ -258,16 +277,21 @@ def _effective_config(ns, parser):
         unknown = set(loaded) - set(effective)
         if unknown:
             parser.error(f"unknown config keys for {cmd}: {sorted(unknown)}")
-        for flag, default, _, extras in _COMMANDS[cmd][1]:
-            key = _key(flag)
-            want = key in loaded and _config_type_error(loaded[key], default, extras)
-            if want:
-                parser.error(f"config key {key!r} takes {want}, got {loaded[key]!r}")
         effective.update(loaded)
     effective.update(flags)
     missing = [k for k, v in effective.items() if v is _REQUIRED]
     if missing:
         parser.error(f"missing required parameters for {cmd}: {sorted(missing)}")
+    # one check per key, whether its value came from a flag, the file or the
+    # defaults: kind and choices, then the lower bound
+    for flag, default, _, low, extras in _COMMANDS[cmd][1]:
+        key = _key(flag)
+        value = effective[key]
+        want = _config_type_error(value, default, extras)
+        if want:
+            parser.error(f"config key {key!r} takes {want}, got {value!r}")
+        if low is not None and value is not None and value < low:
+            parser.error(f"{flag} must be >= {low}")
     return effective
 
 
@@ -288,20 +312,18 @@ def _uniform_flow(depth, parser):
 def _flow_from_config(cfg, parser):
     measure = cfg["measure"]
     depth = cfg.get("depth")
-    if depth is not None and int(depth) < 0:
-        parser.error("--depth must be >= 0")
     if measure == "theta":
         if depth is None:
             parser.error("--depth is required with --measure theta")
-        return _uniform_flow(int(depth), parser)
+        return _uniform_flow(depth, parser)
     try:
         f = load_flow(measure)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load flow {measure!r}: {exc}")
-    if depth is not None and int(depth) != f.depth:
-        if int(depth) > f.depth:
+    if depth is not None and depth != f.depth:
+        if depth > f.depth:
             parser.error(f"--depth {depth} exceeds stored depth {f.depth}")
-        f = truncate(f, int(depth))
+        f = truncate(f, depth)
     return f
 
 
@@ -329,7 +351,7 @@ def _parse_vertices(items, parser):
     vertices = []
     for item in items:
         try:
-            d_str, b_str = str(item).split(":")
+            d_str, b_str = item.split(":")
             vertices.append(Vertex(int(d_str), int(b_str)))
         except ValueError as exc:
             parser.error(f"bad --track-vertex {item!r} (want DEPTH:BITS): {exc}")
@@ -343,9 +365,7 @@ def _cmd_simulate(cfg, parser):
         grid = engine.make_grid(float(cfg["t_end"]), float(cfg["step"]))
     except ValueError as exc:
         parser.error(str(exc))
-    replicas = int(cfg["replicas"])
-    if replicas < 1:
-        parser.error("--replicas must be >= 1")
+    replicas = cfg["replicas"]
     tracked = cfg.get("track_vertex")
     vertices = _parse_vertices(tracked, parser) if tracked else []
     if vertices and cfg.get("vertex_output") is None:
@@ -357,7 +377,7 @@ def _cmd_simulate(cfg, parser):
     if save and replicas != 1:
         parser.error("--save-flow requires --replicas 1")
 
-    seeds = derive_seeds(int(cfg["seed"]), replicas)
+    seeds = derive_seeds(cfg["seed"], replicas)
     # the root is one more vertex: its series is the root masses, bit for bit
     tracked = [ROOT, *vertices]
     at_base = [base.mass(v) for v in tracked]  # time 0: the base flow's own masses
@@ -394,20 +414,10 @@ def _cmd_analyze(cfg, parser):
         measure = regularity.THETA
     else:
         measure = _flow_from_config(cfg, parser)
-    h_count = int(cfg["h_count"])
-    if h_count < 2:
-        parser.error("--h-count must be >= 2")
     t = float(cfg["t"])
-    if t < 0:
-        parser.error("--t must be nonnegative")
-    h_grid = np.linspace(float(cfg["h_min"]), float(cfg["h_max"]), h_count)
-    max_depth = cfg.get("max_depth")
+    h_grid = np.linspace(float(cfg["h_min"]), float(cfg["h_max"]), cfg["h_count"])
     report = regularity.regularity_report(
-        measure,
-        spec,
-        t,
-        h_grid=h_grid,
-        max_depth=None if max_depth is None else int(max_depth),
+        measure, spec, t, h_grid=h_grid, max_depth=cfg.get("max_depth")
     )
     _emit(regularity.report_to_json(report) + "\n", cfg.get("output"))
     if cfg.get("curves") is not None:
@@ -425,7 +435,7 @@ def _cmd_transport(cfg, parser):
             nu = load_flow(cfg["nu"])
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load flows: {exc}")
-        if cfg.get("normalize", False):
+        if cfg["normalize"]:
             mu = normalize(mu)
             nu = normalize(nu)
         method = cfg["method"]
@@ -446,21 +456,14 @@ def _cmd_transport(cfg, parser):
         return 0
 
     spec = _spec_from_config(cfg, parser)
-    if int(cfg["depth"]) < 0:
-        parser.error("--depth must be >= 0")
-    base = _uniform_flow(int(cfg["depth"]), parser)
+    base = _uniform_flow(cfg["depth"], parser)
     try:
         grid = engine.make_grid(float(cfg["t_end"]), float(cfg["step"]))
     except ValueError as exc:
         parser.error(str(exc))
-    replicas = int(cfg["replicas"])
-    if replicas < 1:
-        parser.error("--replicas must be >= 1")
-    if int(cfg["pair_budget"]) < 1:
-        parser.error("--pair-budget must be >= 1")
-    seeds = derive_seeds(int(cfg["seed"]), replicas)
+    seeds = derive_seeds(cfg["seed"], cfg["replicas"])
     fit = transport.streamed_holder_exponent(
-        base, spec, grid, seeds, pair_budget=int(cfg["pair_budget"])
+        base, spec, grid, seeds, pair_budget=cfg["pair_budget"]
     )
     doc = {
         "slope": fit.slope,
@@ -490,14 +493,12 @@ def _cmd_kpz(cfg, parser):
 
     spec = _spec_from_config(cfg, parser)
     ray_set = kpz.EVEN_FREE if cfg["ray_set"] == "even_free" else kpz.FULL
-    depth = int(cfg["depth"])
+    depth = cfg["depth"]
     t = float(cfg["t"])
-    if t < 0:
-        parser.error("--t must be nonnegative")
     raw = cfg["scale_exponents"]
     try:
-        exps = [int(x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
-    except (TypeError, ValueError):
+        exps = [int(x) for x in raw.split(",")]
+    except ValueError:
         parser.error(f"--scale-exponents needs comma-separated integers, got {raw!r}")
     if any(m < 1 for m in exps) or len(exps) < 2:
         parser.error("--scale-exponents needs at least two positive integers")
@@ -511,7 +512,7 @@ def _cmd_kpz(cfg, parser):
             base=flow,
             spec=spec,
             grid=grid,
-            seed=int(cfg["seed"]),
+            seed=cfg["seed"],
             snapshot_times=[t],
         )
         flow = path.snapshot(0)
@@ -531,7 +532,7 @@ def _cmd_kpz(cfg, parser):
 
 
 def _cmd_verify(cfg, parser):
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     suite = verify.default_suite(seed) if cfg["suite"] == "default" else verify.quick_suite(seed)
     reports = verify.run_suite(suite)
     for r in reports:

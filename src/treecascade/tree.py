@@ -34,7 +34,6 @@ __all__ = [
     "normalize",
     "validate_flow",
     "truncate",
-    "restrict",
     "common_ancestor_depth",
     "flat_index",
     "sample_ray",
@@ -99,12 +98,6 @@ class Vertex:
         if self.depth > other.depth:
             return False
         return other.bits >> (other.depth - self.depth) == self.bits
-
-    def path_bit(self, generation):
-        """Bit chosen at the given generation, 1-indexed from the root."""
-        if not 1 <= generation <= self.depth:
-            raise ValueError("generation out of range")
-        return (self.bits >> (self.depth - generation)) & 1
 
 
 ROOT = Vertex(0, 0)
@@ -338,18 +331,6 @@ def truncate(f, depth):
     if depth == f.depth:
         return f
     return Flow(f.levels[: depth + 1])
-
-
-def restrict(f, v):
-    """Subtree flow rooted at v: level k holds the masses at depth |v|+k under v."""
-    if v.depth > f.depth:
-        raise ValueError("vertex deeper than flow")
-    sub = []
-    for k in range(f.depth - v.depth + 1):
-        a = f.levels[v.depth + k]
-        lo = v.bits << k
-        sub.append(a[lo : lo + (1 << k)])
-    return Flow(tuple(_freeze(np.array(a)) for a in sub))
 
 
 def sample_ray(f, rng):

@@ -11,6 +11,10 @@ def _run(argv):
     return cli.run(argv)
 
 
+# flags a subcommand needs before --dump-config prints anything
+REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "argv",
@@ -201,6 +205,83 @@ class TestSimulateFrozenBytes:
         assert digests == self.DIGESTS[case]
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestInterfaceFrozenBytes:
+    """sha256 of ``--help`` (80 columns) and of ``--dump-config``, pinned."""
+
+    COMMANDS = ("simulate", "analyze", "transport", "kpz", "verify")
+    POISSON = {"kind": "compound_poisson", "rate": 40, "jump_mean": -0.5, "jump_sd": 0.25}
+    # every config key at a valid value other than its default; the paths are
+    # only strings, since --dump-config opens none of them, and integers for
+    # number keys must dump as integers
+    EVERY_KEY = {
+        "simulate": {
+            "measure": "base.json", "depth": 5, "t_end": 2, "step": 0.125, "replicas": 3,
+            "seed": 9, "output": "r.csv", "track_vertex": ["1:0", "2:3"],
+            "vertex_output": "v.csv", "save_flow": "final.json", **POISSON,
+        },
+        "analyze": {
+            "measure": "base.csv", "t": 1, "h_min": 0.5, "h_max": 3, "h_count": 9,
+            "max_depth": 4, "output": "report.json", "curves": "curves.csv", **POISSON,
+        },
+        "transport": {
+            "mode": "holder", "mu": "mu.json", "nu": "nu.json", "method": "coupling",
+            "normalize": True, "depth": 7, "t_end": 1, "step": 0.0625, "replicas": 2,
+            "pair_budget": 8, "seed": 3, "output": "fit.json", **POISSON,
+        },
+        "kpz": {
+            "mode": "box", "d0": 0.75, "t_end": 1.5, "step": 0.01, "t": 0.25, "depth": 10,
+            "seed": 4, "ray_set": "full", "scale_exponents": "2,4,6", "output": "box.json",
+            **POISSON,
+        },
+        "verify": {"suite": "quick", "seed": 7, "output": "verify.json"},
+    }
+    # recorded before the flag table checked kinds, choices and bounds
+    DIGESTS = {
+        "defaults_analyze": "322559d1b55e729c8b332ad5d10a23d5af815a6e35ab4605a511b9ca1994a028",
+        "defaults_kpz": "e8e85ea2973cf5897968045983dcbbcb8af41035aca9dc4fd07927b2ddd9af56",
+        "defaults_simulate": "4cc4e0d23acc25f0671d27d57c94181413cb1ad7b432eef47e3c74fadd29a1fe",
+        "defaults_transport": "2afe121f7b18613d01ad2471a370689a715b8af2359886b20fbf3e8f93a2e107",
+        "defaults_verify": "c53132da0a71d241a6aa5e250f442448e998b5881d0bdb047480bb124be137d3",
+        "every_key_analyze": "41b7d6682a2ffc7a14fcc9645431c89b4202a5440efbd162ff26af65821ea742",
+        "every_key_kpz": "d3607ed4f6bc21af653657454eef2ebe504729c77667401934c9a21c3cea2a5b",
+        "every_key_simulate": "60b41c4138922f16ef601b62f8f0757e7132f2d558798335a148a25ea295cbfe",
+        "every_key_transport": "e3ac2d2e4fd3087923dbd4c7757df72a50cf3da90216d7a23bb3f4e7c784c006",
+        "every_key_verify": "bedf5e634e869dbdf81cfc7e228238d7a7b5927af6041c4e58b20ca3c411cec6",
+        "help_analyze": "a8a37f326a0a72ae8f372bdb582528c0e8725527ffaa46821999ace3ff111e61",
+        "help_kpz": "45bb175b553a011e56d2ce9fd44e627b5a22065434afbc6f54d54ff4dffe5f0f",
+        "help_program": "330cdaba28f59e13966c40c7340cb40bcf1d4f2a271063c9eb0c7c8613926b24",
+        "help_simulate": "1575705f966fcd1de306d335246afb6f02d4b3e2c30c8f9055f4630fb69cbf49",
+        "help_transport": "b9978f9c5418f264ba5b2b15e23676cdd3fb9eb70b05eb13ac7d189987605702",
+        "help_verify": "50f624febd02874cb8e44182a98b22dc0c8d64da1b70d8f2df26d53296df8ef6",
+    }
+
+    @pytest.mark.parametrize("name", ["program", *COMMANDS])
+    def test_help_digests(self, name, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            _run(["--help"] if name == "program" else [name, "--help"])
+        assert exc.value.code == 0
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[f"help_{name}"]
+
+    @pytest.mark.parametrize("source", ["defaults", "every_key"])
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_dump_config_digests(self, cmd, source, tmp_path, capsys):
+        argv = [cmd, *REQUIRED.get(cmd, []), "--dump-config"]
+        if source == "every_key":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(self.EVERY_KEY[cmd]))
+            argv = [cmd, "--config", str(cfg), "--dump-config"]
+        assert _run(argv) == 0
+        out = capsys.readouterr().out
+        if source == "every_key":
+            assert json.loads(out) == {"command": cmd, **self.EVERY_KEY[cmd]}
+        assert _sha256(out) == self.DIGESTS[f"{source}_{cmd}"]
+
+
 class TestConfigHandling:
     def test_dump_config_merges_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -266,6 +347,45 @@ class TestConfigHandling:
             _run(["simulate", "--config", str(cfg), "--output", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
         assert f"config key {key!r} takes {want}, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["transport"], {"mode": "bogus"},
+             "config key 'mode' takes one of ['distance', 'holder'], got 'bogus'"),
+            (["kpz", "--mode", "box", "--depth", "8", "--scale-exponents", "2,4"],
+             {"ray_set": "bogus"},
+             "config key 'ray_set' takes one of ['even_free', 'full'], got 'bogus'"),
+            (["verify"], {"suite": "bogus"},
+             "config key 'suite' takes one of ['default', 'quick'], got 'bogus'"),
+            (["kpz", "--mode", "box", "--depth", "8"], {"scale_exponents": [4.7, 6.2]},
+             "config key 'scale_exponents' takes a string, got [4.7, 6.2]"),
+            (["simulate", "--measure", "theta", "--depth", "2", "--t-end", "0"], {"output": 1},
+             "config key 'output' takes a string or null, got 1"),
+            (["transport", "--mu", "FLOW", "--nu", "FLOW"], {"normalize": "yes"},
+             "config key 'normalize' takes a boolean, got 'yes'"),
+            (["analyze", "--measure", "FLOW", "--t", "0.5", "--max-depth", "-1"], {},
+             "--max-depth must be >= 0"),
+            (["kpz", "--mode", "box", "--depth", "-1"], {}, "--depth must be >= 0"),
+            (["simulate", "--measure", "theta", "--depth", "2", "--t-end", "0"], {"replicas": 0},
+             "--replicas must be >= 1"),
+        ],
+        ids=["transport_mode", "kpz_ray_set", "verify_suite", "kpz_scale_exponents_list",
+             "simulate_output_int", "transport_normalize_string", "analyze_max_depth_flag",
+             "kpz_depth_flag", "simulate_replicas_file"],
+    )
+    def test_value_outside_its_flag_row_rejected(self, argv, doc, message, tmp_path, capsys):
+        # kind, choices and lower bound are checked before any handler runs,
+        # for file values as for flags
+        flow = tmp_path / "flow.json"
+        tree.save_flow(tree.uniform_flow(4), flow)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [str(flow) if a == "FLOW" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            _run([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_config_values_of_the_flag_types_accepted(self, tmp_path, capsys):
         # integers for floats, null where the flag has no default
@@ -336,8 +456,6 @@ class TestConfigHandling:
 
 
 class TestFlagTable:
-    # flags a subcommand needs before --dump-config prints anything
-    REQUIRED = {"simulate": ["--t-end", "0.5"], "analyze": ["--t", "0.5"]}
     META = {"-h", "--config", "--dump-config", "--threads"}
 
     @staticmethod
@@ -356,7 +474,7 @@ class TestFlagTable:
     @pytest.mark.parametrize("cmd", ["simulate", "analyze", "transport", "kpz", "verify"])
     def test_each_config_key_has_exactly_one_flag(self, cmd, capsys):
         def dump(argv):
-            assert _run([cmd, *self.REQUIRED.get(cmd, []), *argv, "--dump-config"]) == 0
+            assert _run([cmd, *REQUIRED.get(cmd, []), *argv, "--dump-config"]) == 0
             return json.loads(capsys.readouterr().out)
 
         before = dump([])
@@ -379,12 +497,36 @@ class TestFlagTable:
         assert all(len(flags) == 1 for flags in setters.values())
 
 
+    BOUNDED = [
+        (cmd, flag, low)
+        for cmd, (_, rows) in cli._COMMANDS.items()
+        for flag, _, _, low, _ in rows
+        if low is not None
+    ]
+
+    @pytest.mark.parametrize("cmd, flag, low", BOUNDED, ids=[c + f for c, f, _ in BOUNDED])
+    def test_lower_bound(self, cmd, flag, low, tmp_path, capsys):
+        # one below the bound exits 2, from a flag or the file; the bound passes
+        key = flag[2:].replace("-", "_")
+        required = [] if flag in REQUIRED.get(cmd, []) else REQUIRED.get(cmd, [])
+        argv = [cmd, *required, "--dump-config"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: low - 1}))
+        for below in ([flag, str(low - 1)], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                _run([*argv, *below])
+            assert exc.value.code == 2
+            assert f"{flag} must be >= {low}" in capsys.readouterr().err
+        assert _run([*argv, flag, str(low)]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == low
+
+
 class TestThreadsFlag:
     # perfbench passes --threads 1 to every subcommand it runs; the flag must
     # keep parsing and keep rejecting counts below 1.
     @pytest.mark.parametrize("cmd", ["simulate", "analyze", "transport", "kpz", "verify"])
     def test_threads_parses_and_is_checked(self, cmd, capsys):
-        argv = [cmd, *TestFlagTable.REQUIRED.get(cmd, []), "--dump-config", "--threads"]
+        argv = [cmd, *REQUIRED.get(cmd, []), "--dump-config", "--threads"]
         assert _run(argv + ["1"]) == 0
         assert "threads" not in json.loads(capsys.readouterr().out)
         for bad, message in (("0", "thread count must be >= 1"), ("x", "invalid int value")):
