@@ -14,7 +14,6 @@ controls.
 from .engine import (
     CascadePath,
     cascade_static,
-    compose,
     compose_from_path,
     convergence_probe,
     make_grid,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CascadePath",
     "cascade_static",
-    "compose",
     "compose_from_path",
     "convergence_probe",
     "make_grid",

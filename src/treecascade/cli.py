@@ -13,15 +13,16 @@ are shared.  The parser and each subcommand's config keys and defaults
 are built from it, and it is the one check of a key's value, whether
 the value came from a flag, a JSON config file (``--config``) or the
 defaults: its kind (an integer flag takes a JSON integer, a number flag
-a JSON number, a switch a boolean, a repeatable flag a list of strings,
-any other flag a string, and null where the flag has no default), its
-choices and its lower bound.  Explicit flags override file values; the
-check runs before any handler and before ``--dump-config``, which
-prints the merged effective config without running.  Outputs are CSV
-(RFC 4180, CRLF line endings, round-trip float formatting) or JSON with
-sorted keys, so identical (argv, seed) runs produce byte-identical
-files.  Runs are single-threaded; ``--threads`` is still accepted and
-checked (an integer >= 1) but changes nothing.
+a finite JSON number, a switch a boolean, a repeatable flag a list of
+strings, any other flag a string, and null where the flag has no
+default), its choices and its lower bound.  Explicit flags override
+file values; the check runs before any handler and before
+``--dump-config``, which prints the merged effective config without
+running.  Outputs are CSV (RFC 4180, CRLF line endings, round-trip
+float formatting) or JSON with sorted keys, so identical (argv, seed)
+runs produce byte-identical files.  Runs are single-threaded;
+``--threads`` is still accepted and checked (an integer >= 1) but
+changes nothing.
 """
 
 import argparse
@@ -29,6 +30,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -255,6 +257,8 @@ def _config_type_error(value, default, extras):
     elif kind in (int, float):
         want = "an integer" if kind is int else "a number"
         ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
+        if isinstance(value, float):  # argparse's float() takes nan and inf
+            ok = ok and math.isfinite(value)
     else:
         want, ok = "a string", isinstance(value, str)
     if default is None:

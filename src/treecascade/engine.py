@@ -10,9 +10,9 @@ of the base by exp of the accumulated state.
 
 Because increments are addressed by (seed, vertex, step index), evolving
 to time t+s equals evolving to t and then cascading the result by the
-remaining increments; ``compose`` exposes that operation and
-``compose_from_path`` replays a stored path's own increments, which
-reproduces its snapshots to floating-point accuracy.
+remaining increments; ``compose_from_path`` does that with a stored
+path's own increments, which reproduces its snapshots to floating-point
+accuracy.
 
 Every log-state advances through one evolution loop, ``_evolve_blocks``,
 which yields (rows, step, state) for each replica block and grid step;
@@ -72,7 +72,6 @@ __all__ = [
     "cascade_static",
     "simulate_path",
     "stream_path",
-    "compose",
     "compose_from_path",
     "convergence_probe",
     "make_grid",
@@ -520,35 +519,6 @@ def _cascade_leaves(leaves, spec, seeds, durations, first_step=1):
             yield rows, _leaf_masses(leaves[rows], state, _level_slices(depth))
 
 
-def _compose_with_increments(current, spec, durations, seed, first_step):
-    if current.depth == 0:
-        return current
-    [(_, leaves)] = _cascade_leaves(current.leaves[None], spec, [seed], durations, first_step)
-    return flow_from_leaves(leaves[0])
-
-
-def compose(current, spec, t, s, seed, steps=1, first_step=1):
-    """Cascade ``current`` by fresh weight increments of total duration s.
-
-    Draws ``steps`` consecutive increments of duration ``s/steps`` keyed by
-    (seed, vertex, first_step + j).  With the seed, step indices, and step
-    durations of a simulated path this replays that path's own increments;
-    ``compose_from_path`` wraps that alignment.
-
-    Returns the composed Flow; ``s = 0`` returns ``current`` unchanged.  The
-    built-in kinds have stationary increments, so the start time ``t`` does
-    not enter the draws.
-    """
-    if s < 0:
-        raise ValueError("duration must be nonnegative")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if s == 0.0:
-        return current
-    durations = np.full(steps, s / steps)
-    return _compose_with_increments(current, spec, durations, seed, first_step)
-
-
 def compose_from_path(path, i, j):
     """Replay the path's increments from stored snapshot i to grid index j.
 
@@ -559,8 +529,13 @@ def compose_from_path(path, i, j):
     if not 0 <= gi <= j < len(path.grid):
         raise ValueError("need snapshot index i at or before grid index j")
     current = path.snapshot(i)
+    if current.depth == 0:
+        return current
     durations = np.diff(path.grid[gi : j + 1])
-    return _compose_with_increments(current, path.spec, durations, path.seed, gi + 1)
+    [(_, leaves)] = _cascade_leaves(
+        current.leaves[None], path.spec, [path.seed], durations, first_step=gi + 1
+    )
+    return flow_from_leaves(leaves[0])
 
 
 @dataclass(frozen=True)

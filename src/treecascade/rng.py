@@ -37,7 +37,6 @@ _local = threading.local()
 # Key-lane tags keeping unrelated draw families in disjoint counter spaces.
 PURPOSE_INCREMENT = 0
 PURPOSE_DERIVE = 1
-PURPOSE_STREAM = 2
 
 
 def philox4x64(counter, key):

@@ -36,9 +36,6 @@ __all__ = [
     "truncate",
     "common_ancestor_depth",
     "flat_index",
-    "sample_ray",
-    "sample_rays",
-    "pushforward_cdf",
     "leaf_cdf",
     "flow_to_json",
     "flow_from_json",
@@ -67,31 +64,6 @@ class Vertex:
             raise ValueError("depth must be nonnegative")
         if not 0 <= self.bits < (1 << self.depth):
             raise ValueError(f"bits {self.bits} out of range for depth {self.depth}")
-
-    def child(self, bit):
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        return Vertex(self.depth + 1, (self.bits << 1) | bit)
-
-    @property
-    def left(self):
-        return self.child(0)
-
-    @property
-    def right(self):
-        return self.child(1)
-
-    @property
-    def parent(self):
-        if self.depth == 0:
-            raise ValueError("root has no parent")
-        return Vertex(self.depth - 1, self.bits >> 1)
-
-    def ancestor(self, depth):
-        """Ancestor at the given depth (the vertex itself at its own depth)."""
-        if not 0 <= depth <= self.depth:
-            raise ValueError("ancestor depth out of range")
-        return Vertex(depth, self.bits >> (self.depth - depth))
 
     def is_ancestor_of(self, other):
         """True when self lies on the root path of other (inclusive)."""
@@ -333,35 +305,6 @@ def truncate(f, depth):
     return Flow(f.levels[: depth + 1])
 
 
-def sample_ray(f, rng):
-    """Draw one truncated ray from the normalized flow.
-
-    Descends from the root choosing the left child with probability
-    mass(left)/mass(parent).  Raises on zero-mass vertices along the walk.
-    """
-    bits = 0
-    for k in range(f.depth):
-        parent = f.levels[k][bits]
-        if parent <= 0:
-            raise ValueError(f"zero-mass vertex encountered at ({k},{bits})")
-        p_left = f.levels[k + 1][2 * bits] / parent
-        bits = 2 * bits + (rng.random() >= p_left)
-    return Vertex(f.depth, int(bits))
-
-
-def sample_rays(f, size, rng):
-    """Vectorized ``sample_ray``; returns an int64 array of leaf bits."""
-    bits = np.zeros(size, dtype=np.int64)
-    for k in range(f.depth):
-        parent = f.levels[k][bits]
-        if np.any(parent <= 0):
-            b = int(bits[np.argmax(parent <= 0)])
-            raise ValueError(f"zero-mass vertex encountered at ({k},{b})")
-        p_left = f.levels[k + 1][2 * bits] / parent
-        bits = 2 * bits + (rng.random(size) >= p_left)
-    return bits
-
-
 def leaf_cdf(f):
     """Normalized cumulative leaf masses; shape 2^n + 1, endpoints exactly 0 and 1."""
     out = np.empty(f.leaves.size + 1)
@@ -372,22 +315,6 @@ def leaf_cdf(f):
         raise ValueError("flow has no mass")
     out /= total
     return out
-
-
-def pushforward_cdf(f, x):
-    """Mass of [0, x] under the normalized flow, x dyadic at the flow's depth.
-
-    The flow's leaf masses define a measure on [0, 1] via the dyadic
-    cylinder intervals; this evaluates its distribution function at a grid
-    point ``x = k 2^-depth``.  Finer points are rejected: the flow carries
-    no information below its resolution.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    k = x * (1 << f.depth)
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"x={x!r} is not dyadic at depth {f.depth}")
-    return float(leaf_cdf(f)[int(round(k))])
 
 
 def flow_to_json(f):

@@ -39,10 +39,8 @@ __all__ = [
     "TestReport",
     "SuiteEntry",
     "SuiteConfig",
-    "test_markov_marginal",
-    "test_martingale",
-    "markov_marginal_pair",
-    "martingale_pair",
+    "markov_marginal",
+    "martingale",
     "test_composition",
     "test_regularity_propagation",
     "test_holder_slope",
@@ -88,11 +86,25 @@ def _root_samples(base, spec, times, seeds):
     return out
 
 
-def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_replicas, controls):
-    """Markov reports, one per entry of ``controls`` (False: the test, True: its control).
+def markov_marginal(
+    base=None,
+    spec=None,
+    t=0.3,
+    s=0.3,
+    depth=12,
+    replicas=2000,
+    seed=0,
+    threshold=0.01,
+    min_replicas=200,
+    controls=(False, True),
+):
+    """KS equality of the root-mass law at t+s: one step vs evolve-then-cascade.
 
+    One report per entry of ``controls``: False is the test, True its
+    control, which composes with duration s/2 instead of s and must Fail.
     All share the direct samples and the time-t states; each window (s, or
-    s/2 for the control) cascades them by the same fresh uniforms.
+    s/2 for the control) cascades them by the same fresh uniforms, so each
+    report equals the one a call with that entry alone gives.
     """
     if base is None:
         base = uniform_flow(depth)
@@ -128,51 +140,27 @@ def _markov_reports(base, spec, t, s, depth, replicas, seed, threshold, min_repl
     return reports
 
 
-def test_markov_marginal(
+def martingale(
     base=None,
     spec=None,
-    t=0.3,
-    s=0.3,
+    times=(0.2, 0.4, 0.6),
     depth=12,
     replicas=2000,
     seed=0,
-    threshold=0.01,
+    threshold=4.0,
     min_replicas=200,
-    control=False,
+    controls=(False, True),
 ):
-    """KS equality of the root-mass law at t+s: one step vs evolve-then-cascade.
+    """Replica-mean root mass against the initial mass, max |z| over times.
 
-    The control composes with duration s/2 instead of s and must Fail.
+    One report per entry of ``controls``, all scored on the same root
+    samples: False is the test, True its control, which removes the
+    mean-one compensation by scaling each root by exp(depth * t / 2); its
+    means drift and it must Fail.  The control is defined for the Gaussian
+    kind only.  The default times stay below log 2: the binary Gaussian
+    cascade's root mass has finite variance only while
+    2 (1/2)^2 E[W_t^2] = e^t / 2 < 1.
     """
-    args = (base, spec, t, s, depth, replicas, seed, threshold, min_replicas)
-    return _markov_reports(*args, controls=(control,))[0]
-
-
-def markov_marginal_pair(
-    base=None,
-    spec=None,
-    t=0.3,
-    s=0.3,
-    depth=12,
-    replicas=2000,
-    seed=0,
-    threshold=0.01,
-    min_replicas=200,
-):
-    """(test, control) of ``test_markov_marginal`` from one draw.
-
-    Each report equals the one ``test_markov_marginal`` gives with the same
-    arguments; the direct samples and the time-t states are drawn once.
-    """
-    args = (base, spec, t, s, depth, replicas, seed, threshold, min_replicas)
-    return tuple(_markov_reports(*args, controls=(False, True)))
-
-
-def _martingale_reports(
-    base, spec, times, depth, replicas, seed, threshold, min_replicas, controls
-):
-    """Martingale reports, one per entry of ``controls`` (False: the test,
-    True: the uncompensated control), all scored on the same root samples."""
     if base is None:
         base = uniform_flow(depth)
     if spec is None:
@@ -207,47 +195,6 @@ def _martingale_reports(
             )
         )
     return reports
-
-
-def test_martingale(
-    base=None,
-    spec=None,
-    times=(0.2, 0.4, 0.6),
-    depth=12,
-    replicas=2000,
-    seed=0,
-    threshold=4.0,
-    min_replicas=200,
-    uncompensated=False,
-):
-    """Replica-mean root mass against the initial mass, max |z| over times.
-
-    The control removes the mean-one compensation, scaling each root by
-    exp(depth * t / 2); its means drift and the test must Fail.  The
-    default times stay below log 2: the binary Gaussian cascade's root
-    mass has finite variance only while 2 (1/2)^2 E[W_t^2] = e^t / 2 < 1.
-    """
-    args = (base, spec, times, depth, replicas, seed, threshold, min_replicas)
-    return _martingale_reports(*args, controls=(uncompensated,))[0]
-
-
-def martingale_pair(
-    base=None,
-    spec=None,
-    times=(0.2, 0.4, 0.6),
-    depth=12,
-    replicas=2000,
-    seed=0,
-    threshold=4.0,
-    min_replicas=200,
-):
-    """(test, control) of ``test_martingale`` from one draw.
-
-    Each report equals the one ``test_martingale`` gives with the same
-    arguments; the root samples are drawn once and scored twice.
-    """
-    args = (base, spec, times, depth, replicas, seed, threshold, min_replicas)
-    return tuple(_martingale_reports(*args, controls=(False, True)))
 
 
 def test_composition(
@@ -388,10 +335,10 @@ def test_qv_agreement(
 
 
 _REGISTRY = {
-    "markov_marginal": test_markov_marginal,
-    "markov_marginal_control": lambda **kw: test_markov_marginal(control=True, **kw),
-    "martingale": test_martingale,
-    "martingale_control": lambda **kw: test_martingale(uncompensated=True, **kw),
+    "markov_marginal": lambda **kw: markov_marginal(controls=(False,), **kw)[0],
+    "markov_marginal_control": lambda **kw: markov_marginal(controls=(True,), **kw)[0],
+    "martingale": lambda **kw: martingale(controls=(False,), **kw)[0],
+    "martingale_control": lambda **kw: martingale(controls=(True,), **kw)[0],
     "composition": test_composition,
     "regularity_propagation": test_regularity_propagation,
     "holder_slope": test_holder_slope,

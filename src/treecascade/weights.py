@@ -71,6 +71,8 @@ class WeightSpec:
                 raise ValueError("compound_poisson requires jump_sd >= 0")
             if self.jump_mean is None:
                 raise ValueError("compound_poisson requires jump_mean")
+            if not all(map(math.isfinite, (self.rate, self.jump_mean, self.jump_sd))):
+                raise ValueError("compound_poisson requires finite rate, jump_mean and jump_sd")
         elif self.rate is not None or self.jump_mean is not None or self.jump_sd is not None:
             raise ValueError("gaussian kind takes no jump parameters")
 

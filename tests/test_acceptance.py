@@ -75,7 +75,7 @@ def test_criterion_01_composition_exactness(report):
 
 def test_criterion_02_markov_marginal(report):
     t0 = time.perf_counter()
-    rep, ctrl = verify.markov_marginal_pair(t=0.3, s=0.3, depth=12, replicas=10_000, seed=42)
+    rep, ctrl = verify.markov_marginal(t=0.3, s=0.3, depth=12, replicas=10_000, seed=42)
     elapsed = time.perf_counter() - t0
     ok = rep.verdict == verify.PASS and rep.statistic > 0.01 and ctrl.verdict == verify.FAIL
     report(2, ok, elapsed, f"KS p={rep.statistic:.3f}, control p={ctrl.statistic:.1e} ({ctrl.verdict})")
@@ -87,7 +87,7 @@ def test_criterion_02_markov_marginal(report):
 
 def test_criterion_03_martingale_means(report):
     t0 = time.perf_counter()
-    rep, ctrl = verify.martingale_pair(times=(0.2, 0.5, 0.9), depth=14, replicas=10_000, seed=42)
+    rep, ctrl = verify.martingale(times=(0.2, 0.5, 0.9), depth=14, replicas=10_000, seed=42)
     elapsed = time.perf_counter() - t0
     ok = rep.verdict == verify.PASS and rep.statistic <= 4.0 and ctrl.verdict == verify.FAIL
     report(3, ok, elapsed, f"max|z|={rep.statistic:.2f}, control max|z|={ctrl.statistic:.1f} ({ctrl.verdict})")

@@ -396,6 +396,31 @@ class TestConfigHandling:
         dumped = json.loads(capsys.readouterr().out)
         assert {k: dumped[k] for k in doc} == doc
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["analyze", "--measure", "theta"], "t", "inf"),
+            (["analyze", "--measure", "theta", "--t", "0.5"], "h_min", "nan"),
+            (["kpz", "--mode", "box"], "t", "nan"),
+            (["simulate", "--measure", "theta", "--depth", "3"], "t_end", "inf"),
+            (["transport", "--mode", "holder", "--depth", "3"], "t_end", "inf"),
+            (["simulate", "--measure", "theta", "--depth", "3", "--t-end", "0.02",
+              "--kind", "compound_poisson"], "jump_sd", "nan"),
+        ],
+        ids=["analyze_t", "analyze_h_min", "kpz_t", "simulate_t_end", "transport_t_end",
+             "simulate_jump_sd"],
+    )
+    def test_non_finite_number_rejected(self, argv, key, value, source, tmp_path, capsys):
+        # argparse's float() and JSON both read nan and inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)} if source == "file" else {}))
+        flag = ["--" + key.replace("_", "-"), value] if source == "flag" else []
+        with pytest.raises(SystemExit) as exc:
+            _run([*argv, *flag, "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"config key {key!r} takes a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jump", [["--rate", "0"], ["--jump-sd", "-1"]])
     def test_invalid_jump_law_rejected(self, jump):
         with pytest.raises(SystemExit) as exc:

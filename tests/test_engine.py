@@ -445,8 +445,9 @@ class TestStreamPath:
 
 class TestComposition:
     def test_compose_zero_duration_identity(self):
-        f = tree.uniform_flow(3)
-        assert engine.compose(f, wp.gaussian_spec(), 0.3, 0.0, seed=1) is f
+        path = engine.simulate_path(tree.uniform_flow(3), wp.gaussian_spec(), [0.0, 0.1], seed=1)
+        for i in range(path.n_snapshots):
+            assert engine.compose_from_path(path, i, i) == path.snapshot(i)
 
     def test_compose_from_path_matches_direct(self):
         base = tree.uniform_flow(6)
@@ -488,46 +489,24 @@ class TestComposition:
                 np.testing.assert_allclose(out.level(k), direct.level(k), rtol=1e-12, atol=0.0)
 
     COMPOSED = {
-        "gaussian": (
-            "e08f5eaa53dd5dd74a2ebbc70f3024dd1b41e41bb867b62a737e95cb66ecdc96",
-            "01f6d3d8f57c7896530ef7b8b2b0659f798b642475533f783f62a368f0b25342",
-        ),
-        "compound_poisson": (
-            "79d70e503de72dd252b91332632802fcede6d239192a1e110166aa80805c728c",
-            "7714e466d5a7bd23b9b10dbf6ec683b1fc04f1fa4508ff58f46d23113e89f116",
-        ),
+        "gaussian": "01f6d3d8f57c7896530ef7b8b2b0659f798b642475533f783f62a368f0b25342",
+        "compound_poisson": "7714e466d5a7bd23b9b10dbf6ec683b1fc04f1fa4508ff58f46d23113e89f116",
     }
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_frozen_levels(self, spec):
-        # level bytes of compose and compose_from_path, pinned bit for bit
+        # level bytes of compose_from_path, pinned bit for bit
         base = tree.uniform_flow(4)
-        composed = engine.compose(base, spec, 0.2, 0.3, seed=19, steps=3, first_step=2)
         path = engine.simulate_path(base, spec, engine.make_grid(0.5, 0.1), seed=19)
         replayed = engine.compose_from_path(path, 1, 4)
-        got = tuple(_digest(np.concatenate(f.levels)) for f in (composed, replayed))
-        assert got == self.COMPOSED[spec.kind]
+        assert _digest(np.concatenate(replayed.levels)) == self.COMPOSED[spec.kind]
 
     def test_compose_validation(self):
-        f = tree.uniform_flow(2)
-        with pytest.raises(ValueError):
-            engine.compose(f, wp.gaussian_spec(), 0.0, -0.1, seed=1)
-        with pytest.raises(ValueError):
-            engine.compose(f, wp.gaussian_spec(), 0.0, 0.1, seed=1, steps=0)
-
-    def test_markov_two_step_equals_one_path(self):
-        # evolving to t then composing with the path's own increments lands
-        # exactly on the path's state at t + s
-        base = tree.uniform_flow(4)
-        spec = wp.gaussian_spec()
-        grid = engine.make_grid(0.4, 0.2)
-        path = engine.simulate_path(base, spec, grid, seed=31)
-        mid = path.snapshot(1)
-        end = engine.compose(mid, spec, 0.2, 0.2, seed=31, steps=1, first_step=2)
-        for k in range(base.depth + 1):
-            np.testing.assert_allclose(
-                end.level(k), path.snapshot(2).level(k), rtol=1e-12, atol=0.0
-            )
+        path = engine.simulate_path(tree.uniform_flow(2), wp.gaussian_spec(), [0.0, 0.1], seed=1)
+        with pytest.raises(ValueError, match="at or before"):
+            engine.compose_from_path(path, 1, 0)
+        with pytest.raises(ValueError, match="at or before"):
+            engine.compose_from_path(path, 0, 2)
 
 
 class TestConvergenceProbe:

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,17 @@ def test_package_import_leaves_slow_scipy_modules_unloaded():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_every_exported_name_resolves():
+    # a deletion cannot leave a name in __all__ behind
+    names = ["treecascade"] + [
+        f"treecascade.{m.name}" for m in pkgutil.iter_modules(treecascade.__path__)
+    ]
+    dangling = {}
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if missing:
+            dangling[name] = missing
+    assert len(names) > 10 and dangling == {}

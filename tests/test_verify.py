@@ -24,23 +24,23 @@ def _report(name, verdict, expected=verify.PASS):
 
 class TestVerdicts:
     def test_markov_marginal_passes(self):
-        rep = verify.test_markov_marginal(depth=8, replicas=600, seed=3)
+        [rep] = verify.markov_marginal(depth=8, replicas=600, seed=3, controls=(False,))
         assert rep.verdict == verify.PASS
         assert rep.statistic > rep.threshold
         assert rep.replicas == 600
 
     def test_markov_control_fails(self):
         # control needs the quick-suite sample size for reliable power
-        rep = verify.test_markov_marginal(depth=10, replicas=800, seed=3, control=True)
+        [rep] = verify.markov_marginal(depth=10, replicas=800, seed=3, controls=(True,))
         assert rep.verdict == verify.FAIL
         assert rep.statistic <= rep.threshold
 
     def test_underpowered_is_inconclusive(self):
-        rep = verify.test_markov_marginal(depth=6, replicas=50, seed=3, min_replicas=200)
-        assert rep.verdict == verify.INCONCLUSIVE
+        reports = verify.markov_marginal(depth=6, replicas=50, seed=3, min_replicas=200)
+        assert [r.verdict for r in reports] == [verify.INCONCLUSIVE] * 2
 
     def test_martingale_control_fails(self):
-        rep = verify.test_martingale(depth=8, replicas=400, seed=5, uncompensated=True)
+        [rep] = verify.martingale(depth=8, replicas=400, seed=5, controls=(True,))
         assert rep.verdict == verify.FAIL
         assert rep.statistic > rep.threshold
 
@@ -48,7 +48,7 @@ class TestVerdicts:
     def test_martingale_depth0_is_exact(self, mass):
         # every replica keeps the initial mass: no spread and no deviation
         base = tree.flow_from_leaves([mass])
-        rep = verify.test_martingale(base=base, replicas=300, seed=3)
+        [rep] = verify.martingale(base=base, replicas=300, seed=3, controls=(False,))
         assert rep.statistic == 0.0
         assert rep.verdict == verify.PASS
 
@@ -186,26 +186,29 @@ class TestMarkovAnchor:
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_frozen_statistics(self, spec):
         kw = dict(spec=spec, depth=6, replicas=300, seed=7)
-        reports = tuple(verify.test_markov_marginal(control=c, **kw) for c in (False, True))
+        reports = [verify.markov_marginal(controls=(c,), **kw)[0] for c in (False, True)]
         assert tuple(r.statistic for r in reports) == self.P_VALUES[spec.kind]
-        # the pair draws once what the two calls draw twice
-        assert verify.markov_marginal_pair(**kw) == reports
+        # both controls in one call draw once what the two calls draw twice
+        assert verify.markov_marginal(**kw) == reports
 
 
 def test_martingale_pair_matches_separate_calls():
     kw = dict(depth=7, replicas=300, seed=9, times=(0.1, 0.3))
-    pair = verify.martingale_pair(**kw)
-    assert pair == tuple(verify.test_martingale(uncompensated=c, **kw) for c in (False, True))
+    pair = verify.martingale(**kw)
+    assert pair == [verify.martingale(controls=(c,), **kw)[0] for c in (False, True)]
     assert [r.verdict for r in pair] == [verify.PASS, verify.FAIL]
     with pytest.raises(ValueError):
-        verify.martingale_pair(spec=wp.compound_poisson_spec(), **kw)
+        verify.martingale(spec=wp.compound_poisson_spec(), **kw)
+    # the test alone is defined for every kind
+    [rep] = verify.martingale(spec=wp.compound_poisson_spec(), controls=(False,), **kw)
+    assert rep.test_name == "martingale"
 
 
 @pytest.mark.parametrize("times", [(), (0.3, 0.1), (-0.1, 0.2)])
-@pytest.mark.parametrize("entry", [verify.test_martingale, verify.martingale_pair])
-def test_martingale_rejects_bad_times(entry, times):
+@pytest.mark.parametrize("controls", [(False,), (False, True)], ids=["test", "pair"])
+def test_martingale_rejects_bad_times(controls, times):
     with pytest.raises(ValueError, match="times"):
-        entry(times=times, depth=3, replicas=10)
+        verify.martingale(times=times, depth=3, replicas=10, controls=controls)
 
 
 def _hex(values):
@@ -232,7 +235,7 @@ class TestReplicaBlocks:
     def test_one_row_blocks_match_default(self, monkeypatch, base, spec):
         def outputs():
             roots = verify._root_samples(base, spec, (0.1, 0.1, 0.3), derive_seeds(11, 40))
-            pair = verify.markov_marginal_pair(base=base, spec=spec, replicas=40, seed=3)
+            pair = verify.markov_marginal(base=base, spec=spec, replicas=40, seed=3)
             return _hex(roots) + _hex([r.statistic for r in pair])
 
         default = outputs()
@@ -259,16 +262,16 @@ class TestReplicaBlocks:
         monkeypatch.setattr(engine, "_BLOCK", 1)
         assert outputs() == default
 
-    @pytest.mark.parametrize("entry", [verify.test_markov_marginal, verify.test_martingale])
+    @pytest.mark.parametrize("entry", [verify.markov_marginal, verify.martingale])
     def test_replica_entry_peak_memory(self, entry):
-        # a depth-12, 500-replica entry holds a few block-sized buffers at a
-        # time (about 1.2 MB at the 256 KiB budget, 8 MB at a 2 MiB one),
-        # the Markov entry's outer block included, live through its inner
-        # evolutions
-        entry(depth=3, replicas=10)  # imports, out of the figure
+        # a depth-12, 500-replica suite entry (one control) holds a few
+        # block-sized buffers at a time (about 1.2 MB at the 256 KiB budget,
+        # 8 MB at a 2 MiB one), the Markov entry's outer block included,
+        # live through its inner evolutions
+        entry(depth=3, replicas=10, controls=(False,))  # imports, out of the figure
         tracemalloc.start()
         try:
-            entry(depth=12, replicas=500)
+            entry(depth=12, replicas=500, controls=(False,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,7 +298,7 @@ class TestReplicaBlocks:
             lambda: verify._root_samples(
                 tree.uniform_flow(4), wp.gaussian_spec(), (0.2,), derive_seeds(1, 50)
             ),
-            lambda: verify.markov_marginal_pair(depth=4, replicas=50, seed=1),
+            lambda: verify.markov_marginal(depth=4, replicas=50, seed=1),
             lambda: observables.girsanov_check(
                 tree.uniform_flow(4), wp.gaussian_spec(), 0.1, tree.Vertex(2, 1), 50, 1, step=0.05
             ),

@@ -24,6 +24,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             wp.WeightSpec(kind="compound_poisson", rate=-1.0, jump_mean=0.0, jump_sd=0.3)
 
+    @pytest.mark.parametrize("field", ["rate", "jump_mean", "jump_sd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_compound_rejects_non_finite_params(self, field, value):
+        with pytest.raises(ValueError):
+            wp.compound_poisson_spec(**{field: value})
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             wp.WeightSpec(kind="levy")
