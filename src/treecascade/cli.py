@@ -414,10 +414,7 @@ def _cmd_simulate(cfg, parser):
 
 def _cmd_analyze(cfg, parser):
     spec = _spec_from_config(cfg, parser)
-    if cfg["measure"] == "theta":
-        measure = regularity.THETA
-    else:
-        measure = _flow_from_config(cfg, parser)
+    measure = regularity.THETA if cfg["measure"] == "theta" else _flow_from_config(cfg, parser)
     t = float(cfg["t"])
     h_grid = np.linspace(float(cfg["h_min"]), float(cfg["h_max"]), cfg["h_count"])
     report = regularity.regularity_report(

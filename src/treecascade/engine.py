@@ -240,8 +240,10 @@ def _overlap_from_flat(flat):
 
     The overlap is the sum over v != root of (mass(v)/mass(root))^2; the
     deepest share is that sum's term for the deepest level alone (the
-    root's own term, 1, at depth 0).
+    root's own term, 1, at depth 0).  A zero root gives NaN for both.
     """
+    if flat[0] == 0.0:
+        return math.nan, math.nan
     # x * x is numpy's x ** 2, and np.add.reduce over each level is np.sum's
     # pairwise sum of that level without its Python wrapper
     squares = np.divide(flat, flat[0])

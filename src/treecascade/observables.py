@@ -45,7 +45,7 @@ GIRSANOV_MAX_DEPTH = 4
 
 def overlap(f):
     """sum over v != root of (mass(v)/mass(root))^2, the truncated
-    expected meeting depth of two independent rays."""
+    expected meeting depth of two independent rays; NaN for a zero root."""
     return _overlap_from_flat(np.concatenate(f.levels))[0]
 
 
@@ -62,9 +62,9 @@ def _require_gaussian(spec, what):
 
 
 def overlap_series(path):
-    """Overlap at every stored snapshot; tail_flag marks any time where
-    the deepest level carries more than 1% of the sum (truncation is
-    then suspect)."""
+    """Overlap at every stored snapshot, NaN where the root is zero;
+    tail_flag marks any time where the deepest level carries more than
+    1% of the sum (truncation is then suspect)."""
     _, q, tail = path.snapshot_summaries()
     flagged = bool(np.any(tail > 0.01 * q))
     return OverlapSeries(times=path.times.copy(), overlap=q.copy(), tail_flag=flagged)

@@ -10,10 +10,11 @@ nonzero measure: with m(h) = E[W_t^h], the combined exponent
 is negative on an interval (1, h_t) exactly in the regular regime, and
 the classification boundary is w_log_w(spec, t) + pressure'(1+) = 0.
 
-The uniform measure is handled through the THETA tag, for which the
-pressure is the closed form (1 - h) log 2; finite flows get a
-least-squares estimate over their deepest levels, reported with a fit
-residual since finite data cannot certify a limit.
+Every analysis reads one pressure curve per (measure, max_depth),
+``_Curve``, the one place that tells the THETA tag from a flow: THETA
+has closed forms, a flow least-squares fits over its deepest levels,
+each exponent fitted once per curve and reported with a fit residual,
+since finite data cannot certify a limit.
 """
 
 import json
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+_STEP = 1e-4  # the difference step of the one-sided derivatives
+_H_MAX = 64.0  # critical_h reports math.inf when alpha_t stays negative up to here
+_H_TOL = 1e-12  # brentq's xtol for critical_h
+_BAND = 1e-6  # the narrowest classification band, and THETA's
 
 REGULAR = "Regular"
 IRREGULAR = "Irregular"
@@ -49,27 +54,13 @@ BOUNDARY = "Boundary"
 
 
 class _Theta:
-    """Tag for the self-similar uniform measure at unbounded depth.
-
-    Closed forms replace fits wherever this tag is accepted.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Tag for the self-similar uniform measure at unbounded depth: closed forms, no fits."""
 
     def __repr__(self):
         return "THETA"
 
 
 THETA = _Theta()
-
-
-def _is_theta(measure):
-    return measure is THETA or (isinstance(measure, str) and measure.lower() == "theta")
 
 
 def _log_power_sum(masses, h):
@@ -124,38 +115,57 @@ def pressure_fit(flow, h, max_depth=None):
     )
 
 
+class _Curve:
+    """The pressure curve of THETA or of a flow cut at ``max_depth``.
+
+    ``fit(h)`` is (pressure, fit residual); a flow's curve keeps its fits,
+    so each exponent is fitted once however often it is read.
+    """
+
+    def __init__(self, measure, max_depth=None):
+        self.theta = measure is THETA
+        self.label = "theta" if self.theta else f"flow(depth={measure.depth})"
+        if not self.theta:
+            self._flow = measure if max_depth is None else truncate(measure, max_depth)
+            self._fits = {}
+
+    def fit(self, h):
+        if h < 0:
+            raise ValueError("h must be nonnegative")
+        if self.theta:
+            return (1.0 - h) * _LOG2, 0.0
+        if h not in self._fits:
+            fit = pressure_fit(self._flow, h)
+            self._fits[h] = fit.slope, fit.residual
+        return self._fits[h]
+
+    def derivative(self, h, side):
+        """One-sided derivative at h, Richardson-refined; -log 2 for THETA."""
+        if side not in ("+", "-"):
+            raise ValueError('side must be "+" or "-"')
+        if self.theta:
+            return -_LOG2
+        sgn = 1.0 if side == "+" else -1.0
+        p0 = self.fit(h)[0]
+        d1, d2 = (sgn * (self.fit(h + sgn * s)[0] - p0) / s for s in (_STEP, _STEP / 2.0))
+        return 2.0 * d2 - d1
+
+
 def pressure(measure, h, max_depth=None):
     """Growth rate of log sum_{|v|=k} mass(v)^h in k.
 
     THETA gives the closed form (1 - h) log 2; a Flow gives the fitted
     slope over its deepest half of levels (depth >= 4 required).
     """
-    if _is_theta(measure):
-        if h < 0:
-            raise ValueError("h must be nonnegative")
-        return (1.0 - h) * _LOG2
-    return pressure_fit(measure, h, max_depth=max_depth).slope
+    return _Curve(measure, max_depth).fit(h)[0]
 
 
-def pressure_derivative(measure, h=1.0, side="+", step=1e-4, max_depth=None):
+def pressure_derivative(measure, h=1.0, side="+", max_depth=None):
     """One-sided derivative of the pressure at h, Richardson-refined.
 
     One-sided because the pressure may be kinked; side "+" or "-".
     """
-    if side not in ("+", "-"):
-        raise ValueError('side must be "+" or "-"')
-    if _is_theta(measure):
-        return -_LOG2
-    sgn = 1.0 if side == "+" else -1.0
-
-    def diff(s):
-        p0 = pressure(measure, h, max_depth=max_depth)
-        p1 = pressure(measure, h + sgn * s, max_depth=max_depth)
-        return sgn * (p1 - p0) / s
-
-    d1 = diff(step)
-    d2 = diff(step / 2.0)
-    return 2.0 * d2 - d1
+    return _Curve(measure, max_depth).derivative(h, side)
 
 
 def alpha(measure, spec, t, h, max_depth=None):
@@ -163,56 +173,46 @@ def alpha(measure, spec, t, h, max_depth=None):
     return pressure(measure, h, max_depth=max_depth) + wp.log_moment(spec, t, h)
 
 
-def critical_h(measure, spec, t, h_max=64.0, tol=1e-12, max_depth=None):
-    """Largest h >= 1 with alpha_t < 0 on (1, h).
-
-    alpha_t(1) = 0 always, so the sought point is the second root of
-    alpha_t above 1; dividing out the (h - 1) factor leaves a bracketable
-    function.  Returns 1.0 when alpha_t already increases at 1+, and
-    math.inf when alpha_t stays negative up to h_max.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    slope_at_one = pressure_derivative(measure, 1.0, "+", max_depth=max_depth)
-    alpha_slope = slope_at_one + wp.w_log_w(spec, t)
+def _critical_h(curve, spec, t, d_plus):
+    # critical_h of the curve, given its right derivative at 1
+    alpha_slope = d_plus + wp.w_log_w(spec, t)
     if alpha_slope >= 0:
         return 1.0
 
     def g(h):
         if h == 1.0:
             return alpha_slope
-        return alpha(measure, spec, t, h, max_depth=max_depth) / (h - 1.0)
+        return (curve.fit(h)[0] + wp.log_moment(spec, t, h)) / (h - 1.0)
 
     lo, hi = 1.0, 2.0
     while g(hi) < 0:
         lo, hi = hi, hi * 2.0
-        if hi > h_max:
+        if hi > _H_MAX:
             return math.inf
     from scipy.optimize import brentq  # a slow import, made only where it is used
 
-    return float(brentq(g, lo, hi, xtol=tol))
+    return float(brentq(g, lo, hi, xtol=_H_TOL))
 
 
-def _classification_tol(measure, step, max_depth):
-    if _is_theta(measure):
-        return 1e-6
-    res_p = pressure_fit(measure, 1.0 + step, max_depth=max_depth).residual
-    res_m = pressure_fit(measure, 1.0 - step, max_depth=max_depth).residual
-    return max(1e-6, (res_p + res_m) / step)
+def critical_h(measure, spec, t, max_depth=None):
+    """Largest h >= 1 with alpha_t < 0 on (1, h).
 
-
-def classify_regularity(measure, spec, t, tol=None, step=1e-4, max_depth=None):
-    """Regular, Irregular, or Boundary for the cascade of measure by W_t.
-
-    Regular when w_log_w + pressure'(1+) < -tol; Irregular when
-    w_log_w + pressure'(1-) > tol.  The default band is 1e-6 for THETA
-    and fit-residual-scaled for finite flows.
+    alpha_t(1) = 0 always, so the sought point is the second root of
+    alpha_t above 1; dividing out the (h - 1) factor leaves a bracketable
+    function.  Returns 1.0 when alpha_t already increases at 1+, and
+    math.inf when alpha_t stays negative up to h = 64.
     """
-    if tol is None:
-        tol = _classification_tol(measure, step, max_depth)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    curve = _Curve(measure, max_depth)
+    return _critical_h(curve, spec, t, curve.derivative(1.0, "+"))
+
+
+def _classify(curve, spec, t, d_plus, d_minus):
+    # classify_regularity of the curve, given its one-sided derivatives at 1
+    res = curve.fit(1.0 + _STEP)[1] + curve.fit(1.0 - _STEP)[1]
+    tol = max(_BAND, res / _STEP)
     wlw = wp.w_log_w(spec, t)
-    d_plus = pressure_derivative(measure, 1.0, "+", step=step, max_depth=max_depth)
-    d_minus = pressure_derivative(measure, 1.0, "-", step=step, max_depth=max_depth)
     if wlw + d_plus < -tol:
         return REGULAR
     if wlw + d_minus > tol:
@@ -220,13 +220,22 @@ def classify_regularity(measure, spec, t, tol=None, step=1e-4, max_depth=None):
     return BOUNDARY
 
 
+def classify_regularity(measure, spec, t, max_depth=None):
+    """Regular, Irregular, or Boundary for the cascade of measure by W_t.
+
+    Regular when w_log_w + pressure'(1+) < -tol; Irregular when
+    w_log_w + pressure'(1-) > tol.  The band tol is 1e-6 for THETA and
+    the fit residuals at 1 +- 1e-4 over 1e-4, at least 1e-6, for flows.
+    """
+    curve = _Curve(measure, max_depth)
+    return _classify(curve, spec, t, curve.derivative(1.0, "+"), curve.derivative(1.0, "-"))
+
+
 def lifetime(measure, max_depth=None):
     """-2 pressure'(1+): the time horizon of the Gaussian-driven evolution.
 
     2 log 2 exactly for THETA, and at most that for any flow.
     """
-    if _is_theta(measure):
-        return 2.0 * _LOG2
     return -2.0 * pressure_derivative(measure, 1.0, "+", max_depth=max_depth)
 
 
@@ -248,32 +257,20 @@ def regularity_report(measure, spec, t, h_grid=None, max_depth=None):
     """Full diagnostics for (measure, spec, t): curves, h_t, lifetime, class."""
     if h_grid is None:
         h_grid = np.linspace(0.0, 4.0, 17)
-    h_grid = np.asarray(h_grid, dtype=np.float64)
-    theta = _is_theta(measure)
-    pressure_samples = []
-    alpha_samples = []
-    residual = 0.0
-    for h in h_grid:
-        h = float(h)
-        if theta:
-            p = pressure(THETA, h)
-        else:
-            fit = pressure_fit(measure, h, max_depth=max_depth)
-            p = fit.slope
-            residual = max(residual, fit.residual)
-        pressure_samples.append((h, p))
-        alpha_samples.append((h, p + wp.log_moment(spec, t, h)))
+    curve = _Curve(measure, max_depth)
+    fits = [(h, *curve.fit(h)) for h in map(float, np.asarray(h_grid, dtype=np.float64))]
+    d_plus, d_minus = curve.derivative(1.0, "+"), curve.derivative(1.0, "-")
     return RegularityReport(
-        measure="theta" if theta else f"flow(depth={measure.depth})",
+        measure=curve.label,
         spec=spec,
         t=float(t),
-        pressure_samples=tuple(pressure_samples),
-        alpha_samples=tuple(alpha_samples),
-        h_t=critical_h(measure, spec, t, max_depth=max_depth),
-        lifetime=lifetime(measure, max_depth=max_depth),
-        classification=classify_regularity(measure, spec, t, max_depth=max_depth),
-        derivative_estimate=pressure_derivative(measure, 1.0, "+", max_depth=max_depth),
-        fit_residual=residual,
+        pressure_samples=tuple((h, p) for h, p, _ in fits),
+        alpha_samples=tuple((h, p + wp.log_moment(spec, t, h)) for h, p, _ in fits),
+        h_t=_critical_h(curve, spec, t, d_plus),
+        lifetime=-2.0 * d_plus,
+        classification=_classify(curve, spec, t, d_plus, d_minus),
+        derivative_estimate=d_plus,
+        fit_residual=max([0.0] + [r for _, _, r in fits]),
     )
 
 

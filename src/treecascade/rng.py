@@ -3,23 +3,22 @@
 Every stochastic draw used by the simulation engine is addressed by a
 (seed, flat vertex index, step index) triple and produced by the
 Philox-4x64-10 block cipher.  A draw depends only on its address, never on
-batching, thread count, or the depth of the tree a particular run uses.
+batching or on the depth of the tree a particular run uses.
 Consequences that the rest of the package relies on:
 
 * identical addresses give identical draws, distinct addresses give
   independent draws,
 * a depth n+1 simulation reuses the depth-n draws on shared vertices, so
   refinements of the same seed are coupled realizations,
-* replica parallelism cannot change results, whatever the scheduler does.
+* the order in which replicas or blocks are drawn cannot change results.
 
-Blocks come from numpy's C implementation, ``numpy.random.Philox``: each
-thread keeps one generator and sets it to the wanted counter and key before
-every draw.  ``vertex_uniforms_multi`` is the one path from blocks to
-uniforms; ``vertex_uniforms`` is its one-seed row.  ``philox4x64`` is a
-pure-python reference the tests check the blocks against.
+Blocks come from numpy's C implementation, ``numpy.random.Philox``: one
+module-level generator, made on first use, is set to the wanted counter and
+key before every draw, so draws are made from one thread at a time.
+``vertex_uniforms_multi`` is the one path from blocks to uniforms;
+``vertex_uniforms`` is its one-seed row.  ``philox4x64`` is a pure-python
+reference the tests check the blocks against.
 """
-
-import threading
 
 import numpy as np
 
@@ -32,7 +31,7 @@ _MASK64 = (1 << 64) - 1
 _ROUNDS = 10
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _NO_BUFFER = (0, 0, 0, 0)
-_local = threading.local()
+_philox = None  # the one generator, made on first use
 
 # Key-lane tags keeping unrelated draw families in disjoint counter spaces.
 PURPOSE_INCREMENT = 0
@@ -82,13 +81,12 @@ def _start_counter(counter):
 
 def _raw_words(start, n_blocks, key):
     # Words of n_blocks consecutive blocks under `key`, from a counter made
-    # by _start_counter.  Each thread keeps one generator and resets its
-    # state: building a generator per call would read OS entropy for a seed
-    # sequence that the key then overrides.
-    gen = getattr(_local, "philox", None)
-    if gen is None:
-        gen = _local.philox = np.random.Philox(key=0)
-    gen.state = {
+    # by _start_counter.  The one generator is reset: building one per call
+    # would read OS entropy for a seed sequence that the key overrides.
+    global _philox
+    if _philox is None:
+        _philox = np.random.Philox(key=0)
+    _philox.state = {
         "bit_generator": "Philox",
         "state": {"counter": start, "key": (int(key[0]) & _MASK64, int(key[1]) & _MASK64)},
         "buffer": _NO_BUFFER,
@@ -96,7 +94,7 @@ def _raw_words(start, n_blocks, key):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen.random_raw(4 * n_blocks)
+    return _philox.random_raw(4 * n_blocks)
 
 
 def philox_blocks_numpy(c0, c1, c2, c3, k0, k1):

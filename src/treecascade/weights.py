@@ -50,6 +50,7 @@ __all__ = [
 GAUSSIAN = "gaussian"
 COMPOUND_POISSON = "compound_poisson"
 KINDS = (GAUSSIAN, COMPOUND_POISSON)
+_POISSON_TABLE_MAX = 1 << 20  # CDF entries: 8 MiB, enough for a Poisson mean up to about 4e9
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,15 @@ def _poisson_counts(u, mu, out=None):
     One CDF table over mu +- (8 sd + 30) serves every uniform of the call;
     the rare uniform past either end goes to ``poisson.ppf``.  The two agree
     except where ``ppf``, through ``pdtrik``, misses by one: within an ulp
-    above a CDF value, and far in the upper tail of a large mu.  ``out``,
-    if given, is a contiguous float64 array of ``u``'s shape that receives
-    the counts.
+    above a CDF value, and far in the upper tail of a large mu.  A mu whose
+    table would pass ``_POISSON_TABLE_MAX`` entries raises instead.
+    ``out``, if given, is a contiguous float64 array of ``u``'s shape that
+    receives the counts.
     """
     half = 8.0 * math.sqrt(mu) + 30.0
     lo = max(0, int(mu - half))
+    if int(mu + half) + 1 - lo > _POISSON_TABLE_MAX:
+        raise ValueError(f"Poisson mean rate*duration = {mu!r} is too large for the count table")
     cdf = pdtr(np.arange(lo, int(mu + half) + 1), mu)
     if out is None:
         out = np.empty(u.shape)

@@ -282,6 +282,67 @@ class TestInterfaceFrozenBytes:
         assert _sha256(out) == self.DIGESTS[f"{source}_{cmd}"]
 
 
+class TestAnalyzeFrozenBytes:
+    """sha256 of ``analyze``'s report JSON and ``--curves`` CSV at t = 0.5, pinned."""
+
+    POISSON = ["--kind", "compound_poisson", "--rate", "40", "--jump-mean", "0", "--jump-sd", "0.15"]
+    CASES = {
+        "theta_gaussian": ["--measure", "theta"],
+        "theta_poisson": ["--measure", "theta", *POISSON],
+        "flow_gaussian": ["--kind", "gaussian"],
+        "flow_poisson": POISSON,
+        "flow_max_depth_8": ["--kind", "gaussian", "--max-depth", "8"],
+    }
+    # recorded before the pressure curve fitted each exponent once
+    DIGESTS = {
+        "flow_gaussian": {
+            "report": "c7e17a231fc07bac36898fbe71d1db8e093b1bbfef6583ec218cdd9b97215139",
+            "curves": "bbb7e6ca7787a42b2235be8563218eed9b2ae4d8d8f28cf543d57646630e455d",
+        },
+        "flow_max_depth_8": {
+            "report": "75ff76af270de320f36f634fa461154aacd5a386b530d5cd8b73f8f4cc45d98c",
+            "curves": "d262d7db4b6e1d0a751eecfeda16db00d05d94b933340b54cfc772945a9ed4ed",
+        },
+        "flow_poisson": {
+            "report": "0faa2d03a3ae3b1a2ba5cae7c492e60db8ad5435da1777c003c51a5345b85d72",
+            "curves": "464bc4db54d367a45f2b281bfd0717bdf78ce70a069a2c48a8b2c3ee2d9d47d0",
+        },
+        "theta_gaussian": {
+            "report": "a3e113300bd2815c7e47c3bc8a53c34e1bdd754a26361f98304eb187fc47ff19",
+            "curves": "af5e073b9caa1d015c0d278bd974e0646f2a5d6f891fa6bd25dd7124361be21e",
+        },
+        "theta_poisson": {
+            "report": "4e9971d110f5509a0dfc291123bc45430dbaba710d4c067ae4215beaf81edfed",
+            "curves": "05aebf1eb7c1980c9022052ff30503d1e2545e679edb068301795566bf7e60ef",
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def flow_file(self, tmp_path_factory):
+        """A depth-12 flow saved by ``simulate`` under the dense compound-Poisson law."""
+        d = tmp_path_factory.mktemp("analyze_base")
+        argv = [
+            "simulate", "--measure", "theta", "--depth", "12", "--t-end", "0.5", "--step", "0.05",
+            "--seed", "5", *self.POISSON, "--output", str(d / "roots.csv"),
+            "--save-flow", str(d / "base.json"),
+        ]
+        assert _run(argv) == 0
+        return d / "base.json"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_digests(self, case, flow_file, tmp_path):
+        argv = ["analyze", "--t", "0.5", *self.CASES[case]]
+        if case.startswith("flow"):
+            argv += ["--measure", str(flow_file)]
+        argv += ["--output", str(tmp_path / "report.json"), "--curves", str(tmp_path / "curves.csv")]
+        assert _run(argv) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
+            for name, ext in (("report", "json"), ("curves", "csv"))
+        }
+        assert digests == self.DIGESTS[case]
+
+
 class TestConfigHandling:
     def test_dump_config_merges_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -478,6 +539,15 @@ class TestConfigHandling:
         )
         assert _run(["analyze", "--measure", str(flow_file), "--t", "0.3"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_poisson_mean_past_the_count_table_returns_one(self, tmp_path, capsys):
+        argv = [
+            "simulate", "--measure", "theta", "--depth", "2", "--t-end", "0.5",
+            "--kind", "compound_poisson", "--rate", "2e10", "--step", "0.5",
+            "--output", str(tmp_path / "r.csv"),
+        ]
+        assert _run(argv) == 1
+        assert "Poisson mean rate*duration = 10000000000.0" in capsys.readouterr().err
 
 
 class TestFlagTable:

@@ -34,6 +34,16 @@ class TestOverlap:
         assert series.overlap[0] == pytest.approx(1.0 - 2.0**-10, abs=1e-12)
         assert isinstance(series.tail_flag, bool)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mass_path_gives_nan_overlaps_without_warning(self):
+        base = tree.flow_from_leaves(np.zeros(4))
+        path = engine.simulate_path(base, wp.gaussian_spec(), engine.make_grid(0.1, 0.05), seed=1)
+        assert np.array_equal(path.root_masses(), np.zeros(3))
+        series = obs.overlap_series(path)
+        assert np.all(np.isnan(series.overlap)) and series.tail_flag is False
+        assert np.all(np.isnan(path.snapshot_summaries()[2]))
+        assert math.isnan(obs.overlap(path.snapshot(2)))
+
 
 class TestQuadraticVariation:
     def test_realized_tracks_predicted(self):

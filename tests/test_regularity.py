@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from treecascade import engine, tree
 from treecascade import regularity as reg
-from treecascade import tree
 from treecascade import weights as wp
 
 LOG2 = math.log(2.0)
@@ -186,3 +188,33 @@ class TestReport:
         report = reg.regularity_report(f, wp.gaussian_spec(), 0.2)
         assert report.classification in (reg.REGULAR, reg.IRREGULAR, reg.BOUNDARY)
         assert report.fit_residual >= 0.0
+
+
+class TestOneCurve:
+    def test_report_fits_each_exponent_once(self, monkeypatch):
+        # a depth-12 flow evolved under a dense compound-Poisson law
+        grid = engine.make_grid(0.5, 0.05)
+        path = engine.simulate_path(
+            tree.uniform_flow(12), wp.compound_poisson_spec(40.0, 0.0, 0.15), grid, seed=5
+        )
+        flow = path.snapshot(len(grid) - 1)
+        fitted = []
+        real_fit = reg.pressure_fit
+
+        def counting_fit(flow, h, max_depth=None):
+            fitted.append(h)
+            return real_fit(flow, h, max_depth=max_depth)
+
+        monkeypatch.setattr(reg, "pressure_fit", counting_fit)
+        report = reg.regularity_report(flow, wp.gaussian_spec(), 0.5)
+        assert report.classification == reg.REGULAR
+        assert len(fitted) == len(set(fitted)) > 17
+
+    def test_no_flow_outlives_its_curve(self, random_flow):
+        f = random_flow(8, seed=4)
+        alive = weakref.ref(f)
+        reg.regularity_report(f, wp.gaussian_spec(), 0.2)
+        reg.classify_regularity(f, wp.gaussian_spec(), 0.2)
+        del f
+        gc.collect()
+        assert alive() is None

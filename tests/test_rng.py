@@ -1,4 +1,3 @@
-import threading
 
 import numpy as np
 import pytest
@@ -85,26 +84,6 @@ def test_words_to_uniforms_into_out():
     out = np.full(4, np.nan)
     assert rng.words_to_uniforms(words, out=out) is out
     assert np.array_equal(out, rng.words_to_uniforms(words))
-
-
-def test_threads_draw_the_same_as_one():
-    # each thread resets its own generator, so concurrent draws cannot mix
-    seeds = rng.derive_seeds(4, 6)
-    want = [rng.vertex_uniforms_multi(seeds, j, 3, 4000, 2) for j in range(8)]
-    got = [None] * 8
-
-    def work(j):
-        got[j] = all(
-            np.array_equal(rng.vertex_uniforms_multi(seeds, j, 3, 4000, 2), want[j])
-            for _ in range(20)
-        )
-
-    workers = [threading.Thread(target=work, args=(j,)) for j in range(8)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    assert all(got)
 
 
 def test_vertex_uniforms_frozen():

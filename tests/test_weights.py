@@ -120,6 +120,15 @@ class TestPoissonCounts:
         u = np.array([u, 0.5])
         assert np.array_equal(wp._poisson_counts(u, mu), stats.poisson.ppf(u, mu))
 
+    def test_table_past_its_bound_raises_naming_the_mean(self):
+        # at mu = 1e10 the table would hold 1.6e6 entries, past the 2^20 bound
+        u = np.random.default_rng(3).random(14)
+        with pytest.raises(ValueError, match=r"Poisson mean rate\*duration = 10000000000.0"):
+            wp._poisson_counts(u, 1e10)
+        spec = wp.compound_poisson_spec(rate=2e10)
+        with pytest.raises(ValueError, match="Poisson mean"):
+            wp.log_increments(spec, 0.5, 1, 1, 0, 7)
+
 
 class TestIncrements:
     def test_deterministic_given_key(self):
