@@ -43,7 +43,8 @@ def main(argv=None):
     for depth in args.depths:
         base = tree.uniform_flow(depth)
         seeds = derive_seeds(derive_seed(args.seed, depth), args.replicas)
-        fit = transport.streamed_holder_exponent(base, spec, grid, seeds, pair_budget=args.pair_budget)
+        paths = (engine.stream_path(base, spec, grid, seed=int(s)) for s in seeds)
+        fit = transport.holder_exponent(paths, pair_budget=args.pair_budget)
         rows.append(
             [depth, repr(fit.slope), repr(fit.slope_se), repr(fit.r_squared), fit.n_pairs]
         )

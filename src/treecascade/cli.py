@@ -463,9 +463,8 @@ def _cmd_transport(cfg, parser):
     except ValueError as exc:
         parser.error(str(exc))
     seeds = derive_seeds(cfg["seed"], cfg["replicas"])
-    fit = transport.streamed_holder_exponent(
-        base, spec, grid, seeds, pair_budget=cfg["pair_budget"]
-    )
+    paths = (engine.stream_path(base, spec, grid, seed=int(s)) for s in seeds)
+    fit = transport.holder_exponent(paths, pair_budget=cfg["pair_budget"])
     doc = {
         "slope": fit.slope,
         "intercept": fit.intercept,

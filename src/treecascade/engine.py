@@ -33,16 +33,15 @@ replica batches, and ``tree`` holds the one level reduction.  A
 materialized snapshot is one level-major buffer of 2^(n+1) - 1 masses
 (``CascadePath.masses_flat``); its levels are views of that buffer.
 
-``stream_path`` evolves one path up to its last wanted step and hands
-each wanted step, in time order, to readers; ``simulate_path`` is that
-sweep with a storage reader, which fills the rows of one read-only
-(T, 2^(n+1) - 2) array.  A stored path feeds its rows to the same
-readers, so its summaries (``SnapshotSummaries``) and Hölder distances
-(``transport.HolderPairs``) match a streamed path's bit for bit.
-A vertex's masses (``_vertex_masses``) read only its root path and
-subtree, in the same order of operations, so they match the full snapshot
-bit for bit, from a block of log-states at a time: a stored path's
-consecutive snapshots, or one step's replica block.
+A path hands each wanted step, in time order, to readers through one
+entry, ``read``.  A ``StreamedPath`` (``stream_path``) stores nothing and
+evolves the path on each read; a ``CascadePath`` (``simulate_path``) is
+one read into a storage reader, the rows of one read-only
+(T, 2^(n+1) - 2) array, and replays them.  So every analysis gives the
+same bits on either kind.  A vertex's masses (``_vertex_masses``) read
+only its root path and subtree, in the same order of operations, so they
+match the full snapshot bit for bit, from a block of log-states at a
+time: a stored path's consecutive snapshots, or one step's replica block.
 """
 
 import functools
@@ -65,6 +64,7 @@ from .tree import (
 from . import weights as wp
 
 __all__ = [
+    "StreamedPath",
     "CascadePath",
     "SnapshotSummaries",
     "ConvergenceRow",
@@ -263,12 +263,6 @@ def _feed(readers, i, state, materialize):
         reader.read(i, state, masses)
 
 
-def _read_stored(path, readers):
-    """Feed a stored path's rows to readers, materialized by ``masses_flat``."""
-    for i in range(path.n_snapshots):
-        _feed(readers, i, path._cum[i], functools.partial(path.masses_flat, i))
-
-
 def _stored_state_limit():
     # physical memory in bytes; unbounded where sysconf does not report it
     try:
@@ -300,6 +294,20 @@ class SnapshotSummaries:
         flat = masses()
         self.values[0, i] = flat[0]
         self.values[1:, i] = _overlap_from_flat(flat)
+
+
+class _VertexSeries:
+    """Reader of the masses of ``vertices`` at each snapshot: rows of ``values``."""
+
+    def __init__(self, n_snapshots, depth, vertices):
+        for v in vertices:
+            if v.depth > depth:
+                raise ValueError(f"vertex depth {v.depth} exceeds path depth {depth}")
+        self._at = [(1 << v.depth) - 1 + v.bits for v in vertices]
+        self.values = np.empty((n_snapshots, len(vertices)))
+
+    def read(self, i, state, masses):
+        self.values[i] = masses()[self._at]
 
 
 def make_grid(t_end, step):
@@ -350,23 +358,16 @@ def cascade_static(base, level_weights):
 
 
 @dataclass(frozen=True)
-class CascadePath:
-    """A cascade evolution: base flow, grid, and stored weight states.
-
-    The accumulated log-weight states of the stored snapshots are the rows
-    of one read-only (T, 2^(n+1) - 2) array.  Snapshots are materialized
-    lazily from them; ``snapshot(0)`` returns the base flow itself.
-    Per-snapshot summaries (root mass, overlap, deepest-level share) are
-    computed by the first call that needs them, by ``SnapshotSummaries``
-    over the stored rows, and kept.
-    """
+class StreamedPath:
+    """A cascade evolution that stores no state; each ``read`` evolves it again,
+    so several analyses of one such path should feed their readers through
+    one ``read``.  Only the snapshot summaries are kept, once read."""
 
     base: Flow
     spec: wp.WeightSpec
     grid: np.ndarray
     seed: int
     snapshot_indices: np.ndarray
-    _cum: np.ndarray = field(repr=False)
     _summaries: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -380,6 +381,50 @@ class CascadePath:
     @property
     def n_snapshots(self):
         return len(self.snapshot_indices)
+
+    def read(self, readers):
+        """At the i-th wanted time each reader's ``read(i, state, masses)`` gets
+        the log-state and a callable that returns the ``masses_flat`` buffer,
+        made once for all readers; both live only for the call."""
+        # keyed draws: stopping at the last wanted step changes no earlier one
+        rows = {j: r for r, j in enumerate(self.snapshot_indices.tolist())}
+        durations = np.diff(self.grid[: max(rows, default=0) + 1])
+        for _, j, (state,) in _evolve_blocks(self.spec, [self.seed], durations, self.depth):
+            if j in rows:
+                _feed(readers, rows[j], state, lambda: _mass_levels_at(self.base, state, j)[0].base)
+
+    def snapshot_summaries(self):
+        """(root masses, overlaps, deepest-level shares) at every wanted snapshot.
+
+        Read-only arrays of length ``n_snapshots``; each snapshot is
+        materialized once, by the first call, for all three.
+        """
+        if self._summaries is None:
+            summaries = SnapshotSummaries(self.n_snapshots)
+            self.read([summaries])
+            summaries.values.flags.writeable = False
+            object.__setattr__(self, "_summaries", tuple(summaries.values))
+        return self._summaries
+
+    def vertex_mass_series(self, vertices):
+        """Masses of the given vertices at every snapshot; shape (T, len(vertices))."""
+        series = _VertexSeries(self.n_snapshots, self.depth, vertices)
+        self.read([series])
+        return series.values
+
+
+@dataclass(frozen=True)
+class CascadePath(StreamedPath):
+    """A streamed path whose log-weight states are stored, as the rows of
+    ``_cum``; ``read`` replays them.  Snapshots are materialized lazily
+    from them; ``snapshot(0)`` returns the base flow itself."""
+
+    _cum: np.ndarray = field(repr=False)
+
+    def read(self, readers):
+        """Feed the stored rows to readers, materialized by ``masses_flat``."""
+        for i in range(self.n_snapshots):
+            _feed(readers, i, self._cum[i], functools.partial(self.masses_flat, i))
 
     def log_weight_state(self, i):
         """Accumulated per-vertex log-weights at stored snapshot i (levels 1..n flat)."""
@@ -408,19 +453,6 @@ class CascadePath:
 
     def root_mass(self, i):
         return float(self.mass_levels(i)[0][0])
-
-    def snapshot_summaries(self):
-        """(root masses, overlaps, deepest-level shares) at every stored snapshot.
-
-        Read-only arrays of length ``n_snapshots``; each snapshot is
-        materialized once, by the first call, for all three.
-        """
-        if self._summaries is None:
-            summaries = SnapshotSummaries(self.n_snapshots)
-            _read_stored(self, [summaries])
-            summaries.values.flags.writeable = False
-            object.__setattr__(self, "_summaries", tuple(summaries.values))
-        return self._summaries
 
     def root_masses(self):
         return self.snapshot_summaries()[0].copy()
@@ -459,23 +491,11 @@ def _path_frame(grid, snapshot_times):
     return grid, want
 
 
-def _sweep(base, spec, grid, want, seed, readers):
-    # keyed draws: stopping at the last wanted step changes no earlier one
-    rows = {j: r for r, j in enumerate(want.tolist())}
-    durations = np.diff(grid[: max(rows, default=0) + 1])
-    for _, j, state in _evolve_blocks(spec, [seed], durations, base.depth):
-        if j in rows:
-            _feed(readers, rows[j], state[0], lambda: _mass_levels_at(base, state[0], j)[0].base)
-
-
-def stream_path(base, spec, grid, readers, seed=0, snapshot_times=None):
-    """Evolve the path ``simulate_path`` would, storing nothing, for readers.
-
-    At the i-th wanted time each reader's ``read(i, state, masses)`` gets
-    the log-state and a callable that returns the ``masses_flat`` buffer,
-    made once for all readers; both live only for the call."""
+def stream_path(base, spec, grid, seed=0, snapshot_times=None):
+    """The path ``simulate_path`` would return, as a ``StreamedPath``: nothing
+    is drawn until it is read, and nothing is stored."""
     grid, want = _path_frame(grid, snapshot_times)
-    _sweep(base, spec, grid, want, seed, readers)
+    return StreamedPath(base=base, spec=spec, grid=grid, seed=seed, snapshot_indices=want)
 
 
 def simulate_path(base, spec, grid, seed=0, snapshot_times=None):
@@ -499,18 +519,11 @@ def simulate_path(base, spec, grid, seed=0, snapshot_times=None):
         Raises MemoryError, before any draw, if the states would not fit
         in the machine's physical memory.
     """
-    grid, want = _path_frame(grid, snapshot_times)
-    storage = _StoredRows(len(want), _flat_size(base.depth))
-    _sweep(base, spec, grid, want, seed, [storage])
+    path = stream_path(base, spec, grid, seed, snapshot_times)
+    storage = _StoredRows(path.n_snapshots, _flat_size(base.depth))
+    path.read([storage])
     storage.rows.flags.writeable = False
-    return CascadePath(
-        base=base,
-        spec=spec,
-        grid=grid,
-        seed=seed,
-        snapshot_indices=want,
-        _cum=storage.rows,
-    )
+    return CascadePath(base, spec, path.grid, seed, path.snapshot_indices, _cum=storage.rows)
 
 
 def _cascade_leaves(leaves, spec, seeds, durations, first_step=1):

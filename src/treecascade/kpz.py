@@ -47,8 +47,8 @@ def phi(spec, t, h):
     return h - wp.log_moment(spec, t, h) / _LN2
 
 
-def phi_inverse(spec, t, y, tol=1e-12):
-    """The h in [0, 1] with phi(spec, t, h) = y; phi must be increasing
+def phi_inverse(spec, t, y):
+    """The h in [0, 1], to 1e-12, with phi(spec, t, h) = y; phi must be increasing
     on [0, 1], which holds for the Gaussian kind up to t = 2 log 2."""
     if not 0.0 <= y <= 1.0:
         raise ValueError("y must lie in [0, 1]")
@@ -56,7 +56,7 @@ def phi_inverse(spec, t, y, tol=1e-12):
         return y
     from scipy.optimize import brentq  # a slow import, made only where it is used
 
-    return float(brentq(lambda h: phi(spec, t, h) - y, 0.0, 1.0, xtol=tol))
+    return float(brentq(lambda h: phi(spec, t, h) - y, 0.0, 1.0, xtol=1e-12))
 
 
 @dataclass(frozen=True)

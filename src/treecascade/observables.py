@@ -10,7 +10,9 @@ acquires drift equal to the normalized mass of that vertex; the
 Girsanov check renders that identity as a z-score.
 
 All of these use the continuous (Gaussian) weight kind; jump kinds are
-rejected where the continuous bracket is assumed.
+rejected where the continuous bracket is assumed.  Each path analysis
+takes either kind of path, an ``engine.StreamedPath`` or a stored
+``engine.CascadePath``, and gives the same bits on both.
 """
 
 import math
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SnapshotSummaries, _evolve_blocks, _leaf_masses, _level_slices
-from .engine import _overlap_from_flat, stream_path
+from .engine import _evolve_blocks, _leaf_masses, _level_slices, _overlap_from_flat
 from .rng import derive_seeds
 from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
@@ -33,7 +34,6 @@ __all__ = [
     "overlap_series",
     "path_observables",
     "realized_vs_predicted_qv",
-    "streamed_qv",
     "bracket_rate",
     "empirical_bracket",
     "explosion_monitor",
@@ -71,15 +71,16 @@ def overlap_series(path):
 
 
 def path_observables(path):
-    """(times, root_mass, overlap, cum_qv) arrays over stored snapshots;
-    cum_qv is the running sum of squared log root-mass increments."""
-    return _observables(path.times, *path.snapshot_summaries()[:2])
-
-
-def _observables(times, roots, q):
+    """(times, root_mass, overlap, cum_qv) arrays over the path's snapshots;
+    cum_qv is the running sum of squared log root-mass increments, NaN
+    from the first increment that meets a zero root on."""
+    roots, q, _ = path.snapshot_summaries()
+    with np.errstate(divide="ignore"):
+        log_roots = np.log(roots)
+    log_roots[roots == 0.0] = math.nan
     cum_qv = np.zeros_like(roots)
-    np.cumsum(np.diff(np.log(roots)) ** 2, out=cum_qv[1:])
-    return times.copy(), roots.copy(), q.copy(), cum_qv
+    np.cumsum(np.diff(log_roots) ** 2, out=cum_qv[1:])
+    return path.times.copy(), roots.copy(), q.copy(), cum_qv
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,10 @@ class QvComparison:
 
 
 def realized_vs_predicted_qv(path):
-    """Realized squared log root increments against the integrated overlap."""
+    """Realized squared log root increments against the integrated overlap;
+    a zero root makes the realized value and the error NaN."""
     _require_gaussian(path.spec, "quadratic variation comparison")
-    return _qv_comparison(*path_observables(path))
-
-
-def streamed_qv(base, spec, grid, seed=0):
-    """``realized_vs_predicted_qv`` of ``simulate_path(base, spec, grid, seed=seed)``,
-    bit for bit, from ``engine.stream_path``: nothing stored."""
-    _require_gaussian(spec, "quadratic variation comparison")
-    summaries = SnapshotSummaries(len(grid))
-    stream_path(base, spec, grid, [summaries], seed=seed)
-    return _qv_comparison(*_observables(np.asarray(grid, dtype=np.float64), *summaries.values[:2]))
-
-
-def _qv_comparison(times, roots, q, cum_qv):
+    times, _, q, cum_qv = path_observables(path)
     realized = float(cum_qv[-1])
     predicted = float(np.sum(q[:-1] * np.diff(times)))
     if predicted == 0.0:
@@ -144,11 +134,11 @@ class ExplosionReport:
     flagged: bool
 
 
-def explosion_monitor(path, mass_ratio=1e-6, integral_threshold=10.0):
+def explosion_monitor(path):
     """Accumulated overlap integral with collapse flags.
 
-    A time is flagged when the root mass has fallen below mass_ratio of
-    its initial value while the integral is already past the threshold;
+    A time is flagged when the root mass has fallen below 1e-6 of its
+    initial value while the integral is already past 10;
     qualitative by construction, since the true divergence criterion is
     invisible at finite depth.
     """
@@ -158,7 +148,7 @@ def explosion_monitor(path, mass_ratio=1e-6, integral_threshold=10.0):
     if len(times) > 1:
         dt = np.diff(times)
         np.cumsum(0.5 * (q[1:] + q[:-1]) * dt, out=cum[1:])
-    flags = (roots < mass_ratio * roots[0]) & (cum > integral_threshold)
+    flags = (roots < 1e-6 * roots[0]) & (cum > 10.0)
     return ExplosionReport(
         times=times,
         overlap=q,

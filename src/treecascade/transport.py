@@ -13,10 +13,10 @@ small depth certifies the formula; both carry a 2^(-n) truncation bound
 against the distance on the full boundary.
 
 Hölder distances come from one reader, ``HolderPairs``, fed a path's
-snapshots in time order, by ``engine.stream_path`` or by a stored
-path's rows.  Each snapshot a pair reads is materialized once, divided
-by the root into a new buffer of its levels 1..n, and held only while a
-later pair still reads it.  A lag L's pairs start on multiples of
+snapshots in time order by its ``read``: a ``StreamedPath`` evolves
+them, a stored ``CascadePath`` replays its rows.  Each snapshot a pair
+reads is materialized once, divided by the root into a new buffer of its
+levels 1..n, and held only while a later pair still reads it.  A lag L's pairs start on multiples of
 ceil(L/2), so at most two of them span any snapshot, and the live set
 never exceeds 2 * len(lags) + 1 buffers, whatever the pair budget and
 the number of snapshots: 15 of 256 KiB at most for depth 14 with lags
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .tree import FLOW_REL_TOL
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "holder_lags",
     "holder_distances",
     "holder_exponent",
-    "streamed_holder_exponent",
 ]
 
 LP_MAX_DEPTH = 8
@@ -237,45 +235,29 @@ class HolderPairs:
 
 
 def holder_distances(path, pair_budget=64, lags=None):
-    """``HolderPairs.distances`` of a stored path: each snapshot a pair reads
-    is materialized once, through ``path.masses_flat``."""
+    """``HolderPairs.distances`` of a path, streamed or stored: each snapshot
+    a pair reads is materialized once."""
     pairs = HolderPairs(path.times, path.depth, pair_budget, lags)
-    engine._read_stored(path, [pairs])
+    path.read([pairs])
     return pairs.distances
 
 
 def holder_exponent(paths, pair_budget=64, lags=None):
     """Pooled log-log slope of median distance vs lag across paths.
 
-    `paths` may be a single path or an iterable (consumed lazily, so a
-    generator keeps only one path in memory).  Zero distances are
-    dropped; a fit with fewer than 2 usable lags is reported degenerate.
+    `paths` may be a single path, streamed or stored, or an iterable of
+    them (consumed lazily, so a generator of stored paths keeps only one
+    in memory, and one of ``engine.stream_path`` paths stores none).  Zero
+    distances are dropped; a fit with fewer than 2 usable lags is reported
+    degenerate.
     """
-    if hasattr(paths, "masses_flat"):
+    if hasattr(paths, "read"):
         paths = [paths]
     distances = functools.partial(holder_distances, pair_budget=pair_budget, lags=lags)
-    # map keeps no finished path, so a generator can free each before the next
-    return _pooled_fit(map(distances, paths))
-
-
-def streamed_holder_exponent(base, spec, grid, seeds, pair_budget=64):
-    """``holder_exponent`` of ``simulate_path(base, spec, grid, seed=s)`` for s
-    in ``seeds``, bit for bit, from ``engine.stream_path``: nothing stored."""
-
-    def distances():
-        for seed in seeds:
-            pairs = HolderPairs(grid, base.depth, pair_budget)
-            engine.stream_path(base, spec, grid, [pairs], seed=int(seed))
-            yield pairs.distances
-
-    return _pooled_fit(distances())
-
-
-def _pooled_fit(per_path):
-    # the fit of ``holder_exponent`` over per-path lists of (lag_time, distances)
     pooled = {}
     n_pairs = 0
-    for rows in per_path:
+    # map keeps no finished path, so a generator can free each before the next
+    for rows in map(distances, paths):
         for lag_time, dists in rows:
             pooled.setdefault(lag_time, []).append(dists)
             n_pairs += len(dists)

@@ -268,8 +268,9 @@ class FlowValidation:
         return f"{len(self.violations)} violations: {head}{more}"
 
 
-def validate_flow(f, rel_tol=FLOW_REL_TOL):
-    """Check positivity, finiteness, and the flow condition level by level.
+def validate_flow(f):
+    """Check positivity, finiteness, and the flow condition (to relative
+    ``FLOW_REL_TOL``) level by level.
 
     Returns a ``FlowValidation`` whose violations are (kind, depth, bits,
     detail) tuples, empty exactly when the flow is valid.  Zero masses are
@@ -288,7 +289,7 @@ def validate_flow(f, rel_tol=FLOW_REL_TOL):
         parent = f.levels[k]
         csum = _pair_sums(f.levels[k + 1])
         scale = np.maximum(np.abs(parent), np.abs(csum))
-        bad = np.abs(parent - csum) > rel_tol * np.maximum(scale, 1e-300)
+        bad = np.abs(parent - csum) > FLOW_REL_TOL * np.maximum(scale, 1e-300)
         for b in np.nonzero(bad)[0]:
             violations.append(
                 ("conservation", k, int(b), f"parent {parent[b]!r} vs children {csum[b]!r}")

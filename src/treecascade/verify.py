@@ -291,7 +291,8 @@ def test_holder_slope(
     base = uniform_flow(depth)
     grid = engine.make_grid(t_end, step)
     seeds = derive_seeds(seed, replicas)
-    fit = transport.streamed_holder_exponent(base, spec, grid, seeds, pair_budget=pair_budget)
+    paths = (engine.stream_path(base, spec, grid, seed=int(s)) for s in seeds)
+    fit = transport.holder_exponent(paths, pair_budget=pair_budget)
     lo, hi = bounds
     ok = (not fit.degenerate) and lo <= fit.slope <= hi
     return TestReport(
@@ -321,7 +322,8 @@ def test_qv_agreement(
     base = uniform_flow(depth)
     grid = engine.make_grid(t_end, step)
     seeds = derive_seeds(seed, replicas)
-    rels = [observables.streamed_qv(base, spec, grid, seed=int(s)).rel_err for s in seeds]
+    paths = (engine.stream_path(base, spec, grid, seed=int(s)) for s in seeds)
+    rels = [observables.realized_vs_predicted_qv(path).rel_err for path in paths]
     stat = float(np.mean(rels))
     return TestReport(
         test_name="qv_agreement",

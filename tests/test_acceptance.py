@@ -152,7 +152,7 @@ def test_criterion_06_holder_exponent(report):
     spec = wp.gaussian_spec()
     grid = engine.make_grid(0.5, 2.0**-10)
     seeds = derive_seeds(606, 32)
-    fit = transport.streamed_holder_exponent(base, spec, grid, seeds)
+    fit = transport.holder_exponent(engine.stream_path(base, spec, grid, seed=int(s)) for s in seeds)
     elapsed = time.perf_counter() - t0
     ok = 0.40 <= fit.slope <= 0.60 and not fit.degenerate and elapsed < 600.0
     report(6, ok, elapsed, f"slope {fit.slope:.4f} (se {fit.slope_se:.4f}, r^2 {fit.r_squared:.3f})")
@@ -169,7 +169,8 @@ def test_criterion_07_overlap_quadratic_variation(report):
     seeds = derive_seeds(707, 64)
     rel_errs = []
     for s in seeds:
-        rel_errs.append(observables.streamed_qv(base, spec, grid, seed=int(s)).rel_err)
+        path = engine.stream_path(base, spec, grid, seed=int(s))
+        rel_errs.append(observables.realized_vs_predicted_qv(path).rel_err)
     mean_rel = float(np.mean(rel_errs))
 
     overlap_err = max(

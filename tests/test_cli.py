@@ -722,6 +722,22 @@ class TestTransport:
         assert doc["n_pairs"] > 0
         assert len(doc["lag_times"]) == len(doc["median_log_distance"])
 
+    # sha256 of the holder-mode JSON, recorded before the fit read streamed paths
+    HOLDER_DIGESTS = {
+        "gaussian": "22b7ef630fce4482d943df79d516c0e014f0ac11e7eadaf98ae6a34b7159eddf",
+        "compound_poisson": "0928b1938c351173605184e36ab977b3f8de6aba7ef96335bab5ac4e783440bd",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(HOLDER_DIGESTS))
+    def test_holder_mode_digests(self, kind, tmp_path):
+        out = tmp_path / "holder.json"
+        argv = [
+            "transport", "--mode", "holder", "--kind", kind, "--depth", "8", "--t-end", "0.25",
+            "--replicas", "2", "--seed", "5", "--output", str(out),
+        ]
+        assert _run(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.HOLDER_DIGESTS[kind]
+
     def test_malformed_flow_file_rejected(self, tmp_path, capsys):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text('{"depth":0,"levels":[[1.0]]}')
@@ -837,6 +853,10 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["ok"] is True
         assert len(doc["reports"]) == 6
+        # recorded before qv_agreement read streamed paths
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5e89a164607dcd3343b20c2f341f06f97f9c242b8f8b5821301f053acdec0997"
+        )
 
     def test_unexpected_verdict_exits_three(self, monkeypatch, capsys):
         bad = verify.TestReport(

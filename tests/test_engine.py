@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -371,7 +372,42 @@ def _stream_case(case):
         "zero_mass_leaves": (
             tree.flow_from_leaves(leaves), wp.gaussian_spec(), engine.make_grid(0.2, 0.01), None,
         ),
+        "zero_root": (
+            tree.flow_from_leaves(np.zeros(4)), wp.gaussian_spec(), engine.make_grid(0.1, 0.05), None,
+        ),
     }[case]
+
+
+def _bits(result):
+    """A result as nested lists of bytes and reprs, equal exactly when the bits are."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [_bits(x) for x in result]
+    return repr(result)
+
+
+def _analyses(path):
+    """The bits of every path analysis of ``path``, by name."""
+    every_vertex = [tree.Vertex(d, b) for d in range(path.depth + 1) for b in range(1 << d)]
+    out = {
+        "snapshot_summaries": path.snapshot_summaries(),
+        "vertex_mass_series": path.vertex_mass_series(every_vertex),
+        "path_observables": observables.path_observables(path),
+        "overlap_series": observables.overlap_series(path),
+        "holder_distances": transport.holder_distances(path, pair_budget=8),
+        "holder_exponent": transport.holder_exponent(path, pair_budget=8),
+    }
+    if path.spec.kind == wp.GAUSSIAN:
+        out["realized_vs_predicted_qv"] = observables.realized_vs_predicted_qv(path)
+        out["explosion_monitor"] = observables.explosion_monitor(path)
+    if path.depth > 0:
+        out["empirical_bracket"] = observables.empirical_bracket(
+            path, tree.Vertex(1, 0), tree.Vertex(1, 1)
+        )
+    return {name: _bits(result) for name, result in out.items()}
 
 
 class TestStreamPath:
@@ -381,17 +417,48 @@ class TestStreamPath:
     def test_readers_match_stored_path(self, case):
         base, spec, grid, times = _stream_case(case)
         path = engine.simulate_path(base, spec, grid, seed=11, snapshot_times=times)
+        streamed = engine.stream_path(base, spec, grid, seed=11, snapshot_times=times)
+        # readers that share one read
         storage = engine._StoredRows(path.n_snapshots, engine._flat_size(base.depth))
         summaries = engine.SnapshotSummaries(path.n_snapshots)
         pairs = transport.HolderPairs(path.times, base.depth, pair_budget=8)
-        readers = [storage, summaries, pairs]
-        engine.stream_path(base, spec, grid, readers, seed=11, snapshot_times=times)
+        streamed.read([storage, summaries, pairs])
         assert storage.rows.tobytes() == path._cum.tobytes()
         assert summaries.values.tobytes() == np.stack(path.snapshot_summaries()).tobytes()
-        stored = transport.holder_distances(path, pair_budget=8)
-        assert [lag for lag, _ in pairs.distances] == [lag for lag, _ in stored]
-        for (_, got), (_, want) in zip(pairs.distances, stored):
-            assert got.tobytes() == want.tobytes()
+        assert _bits(pairs.distances) == _bits(transport.holder_distances(path, pair_budget=8))
+        # every analysis, each through its own entry
+        assert _analyses(streamed) == _analyses(path)
+        # a fit pooled over paths, one of them seeded past 2^63
+        seeds = [11, 2**63 + 4]
+        fits = [
+            transport.holder_exponent(
+                (make(base, spec, grid, seed=s, snapshot_times=times) for s in seeds), pair_budget=8
+            )
+            for make in (engine.stream_path, engine.simulate_path)
+        ]
+        assert _bits(fits[0]) == _bits(fits[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [engine.stream_path, engine.simulate_path])
+    def test_zero_root_gives_nan_qv_without_warning(self, make):
+        base, spec, grid, _ = _stream_case("zero_root")
+        path = make(base, spec, grid, seed=1)
+        _, roots, _, cum_qv = observables.path_observables(path)
+        assert np.array_equal(roots, np.zeros(3))
+        assert cum_qv[0] == 0.0 and np.all(np.isnan(cum_qv[1:]))
+        qv = observables.realized_vs_predicted_qv(path)
+        assert math.isnan(qv.realized) and math.isnan(qv.predicted) and math.isnan(qv.rel_err)
+        report = observables.explosion_monitor(path)
+        assert np.all(np.isnan(report.cum_overlap_integral[1:])) and not report.flagged
+
+    def test_two_analyses_read_the_summaries_once(self, monkeypatch):
+        base, spec, grid, _ = _stream_case("zero_mass_leaves")
+        path = engine.stream_path(base, spec, grid, seed=11)
+        calls = _counted_draws(monkeypatch)
+        observables.realized_vs_predicted_qv(path)
+        observables.overlap_series(path)
+        # one evolution: each step drawn once
+        assert calls == list(range(1, len(grid)))
 
     def test_one_materialization_per_step_for_all_readers(self, monkeypatch):
         calls = []
@@ -404,7 +471,7 @@ class TestStreamPath:
         monkeypatch.setattr(engine, "_mass_levels", counted)
         grid = engine.make_grid(0.2, 0.01)
         readers = [engine.SnapshotSummaries(len(grid)), transport.HolderPairs(grid, 4)]
-        engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, readers, seed=3)
+        engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, seed=3).read(readers)
         # the base flow stands for grid index 0
         assert len(calls) == len(grid) - 1
 
@@ -436,10 +503,10 @@ class TestStreamPath:
 
     def test_stream_path_checks_like_simulate_path(self):
         with pytest.raises(ValueError, match="grid must start at 0"):
-            engine.stream_path(tree.uniform_flow(2), wp.gaussian_spec(), [0.1, 0.2], [])
+            engine.stream_path(tree.uniform_flow(2), wp.gaussian_spec(), [0.1, 0.2])
         with pytest.raises(ValueError, match="not on the grid"):
             engine.stream_path(
-                tree.uniform_flow(2), wp.gaussian_spec(), [0.0, 0.1], [], snapshot_times=[0.05]
+                tree.uniform_flow(2), wp.gaussian_spec(), [0.0, 0.1], snapshot_times=[0.05]
             )
 
 

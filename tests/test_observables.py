@@ -57,13 +57,6 @@ class TestQuadraticVariation:
             rels.append(obs.realized_vs_predicted_qv(path).rel_err)
         assert float(np.mean(rels)) < 0.2
 
-    @pytest.mark.parametrize("t_end", [0.0, 0.05, 0.3])
-    def test_streamed_matches_stored(self, t_end):
-        base, spec = tree.uniform_flow(7), wp.gaussian_spec()
-        grid = engine.make_grid(t_end, 0.01)
-        stored = obs.realized_vs_predicted_qv(engine.simulate_path(base, spec, grid, seed=12))
-        assert repr(obs.streamed_qv(base, spec, grid, seed=12)) == repr(stored)
-
     def test_gaussian_only(self):
         base = tree.uniform_flow(4)
         path = engine.simulate_path(
@@ -72,7 +65,9 @@ class TestQuadraticVariation:
         with pytest.raises(ValueError):
             obs.realized_vs_predicted_qv(path)
         with pytest.raises(ValueError, match="continuous weight kind"):
-            obs.streamed_qv(base, wp.compound_poisson_spec(), engine.make_grid(0.2, 0.1))
+            obs.realized_vs_predicted_qv(
+                engine.stream_path(base, wp.compound_poisson_spec(), engine.make_grid(0.2, 0.1))
+            )
 
     def test_single_time_is_degenerate_zero(self):
         base = tree.uniform_flow(4)

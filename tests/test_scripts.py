@@ -1,6 +1,7 @@
 """Each script under scripts/ runs end to end at tiny sizes."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -39,6 +40,15 @@ def test_script_writes_csv(tmp_path, name):
         table = list(csv.reader(fh))
     assert len(table) == rows + 1
     assert all(len(row) == len(table[0]) for row in table)
+
+
+def test_holder_sweep_digest(tmp_path):
+    # sha256 of the CSV at the sizes above, recorded before the sweep read streamed paths
+    out = tmp_path / "holder_sweep.csv"
+    assert _main("holder_sweep")([*CASES["holder_sweep"][0], "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ea7db15dd50cd4828415c537af01db929399b113be1cc73c185d20644a55c6e1"
+    )
 
 
 def test_bench_compare_help(capsys):

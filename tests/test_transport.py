@@ -380,7 +380,7 @@ class TestHolderSweep:
             return levels
 
         monkeypatch.setattr(engine, "_mass_levels_at", watched)
-        engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, [reader], seed=3)
+        engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, seed=3).read([reader])
         assert len(sizes) > 30 and max(sizes) > 1
         assert reader.held == {}
 
@@ -394,22 +394,11 @@ class TestHolderSweep:
         base, spec = tree.uniform_flow(12), wp.gaussian_spec()
         tracemalloc.start()
         try:
-            transport.streamed_holder_exponent(base, spec, grid, [5], pair_budget=48)
+            transport.holder_exponent(engine.stream_path(base, spec, grid, seed=5), pair_budget=48)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 64 * 1024
-
-    def test_streamed_fit_matches_stored(self):
-        base, spec = tree.uniform_flow(6), wp.gaussian_spec()
-        grid = engine.make_grid(0.25, 2.0**-6)
-        seeds = [3, 2**63 + 4]
-        stored = transport.holder_exponent(
-            (engine.simulate_path(base, spec, grid, seed=s) for s in seeds), pair_budget=8
-        )
-        streamed = transport.streamed_holder_exponent(base, spec, grid, seeds, pair_budget=8)
-        assert not stored.degenerate
-        assert repr(streamed) == repr(stored)
 
     def test_distances_independent_of_blas_threads(self):
         # depth 13: 16 382 masses per snapshot, long enough for a threaded BLAS dot

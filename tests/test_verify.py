@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -190,6 +191,14 @@ class TestMarkovAnchor:
         assert tuple(r.statistic for r in reports) == self.P_VALUES[spec.kind]
         # both controls in one call draw once what the two calls draw twice
         assert verify.markov_marginal(**kw) == reports
+
+
+def test_holder_slope_frozen_report():
+    # sha256 of the report's repr, recorded before the fit read streamed paths
+    report = verify.test_holder_slope(depth=6, t_end=0.25, step=2.0**-6, replicas=2, pair_budget=8, seed=3)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+        "58b484a82e5d05272ea769ac247ec2592533c03722926a7fe3397159a5c083e8"
+    )
 
 
 def test_martingale_pair_matches_separate_calls():
