@@ -31,7 +31,8 @@ holds the one implementation of that root-path product; it works on the
 last axis, so ``verify`` and ``observables`` hand it whole (R, size)
 replica batches, and ``tree`` holds the one level reduction.  A
 materialized snapshot is one level-major buffer of 2^(n+1) - 1 masses
-(``CascadePath.masses_flat``); its levels are views of that buffer.
+(``CascadePath.masses_flat``), as is a ``Flow``'s ``flat``; its levels
+are views of that buffer.
 
 A path hands each wanted step, in time order, to readers through one
 entry, ``read``.  A ``StreamedPath`` (``stream_path``) stores nothing and
@@ -55,9 +56,8 @@ from .rng import derive_seeds
 from .tree import (
     ROOT,
     Flow,
-    _freeze,
+    _flat_from_leaves,
     _level_views,
-    _levels_from_leaves,
     flow_from_leaves,
     truncate,
 )
@@ -156,15 +156,15 @@ def _leaf_masses(leaves, cum, slices):
     return logx
 
 
-def _mass_levels(base, cum):
-    return _levels_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
+def _masses_flat(base, cum):
+    return _flat_from_leaves(_leaf_masses(base.leaves, cum, _level_slices(base.depth)))
 
 
-def _mass_levels_at(base, cum, grid_index):
-    # ``CascadePath.mass_levels`` of a log-state; index 0 copies the base flow
+def _masses_flat_at(base, cum, grid_index):
+    # ``CascadePath.masses_flat`` of a log-state; index 0 copies the base flow
     if grid_index == 0:
-        return _level_views(np.concatenate(base.levels))
-    return _mass_levels(base, cum)
+        return base.flat.copy()
+    return _masses_flat(base, cum)
 
 
 def _evolve(spec, seeds, durations, first_step, state, increments, lanes):
@@ -219,7 +219,7 @@ def _vertex_masses(base, cum, vertices):
         sub = base.leaves[v.bits << (n - v.depth) : (v.bits + 1) << (n - v.depth)]
         for rows in _blocks(len(cum), len(sub)):
             leaves = _leaf_masses(sub, cum[rows], _level_slices(n, v))
-            out[rows, c] = _levels_from_leaves(leaves)[0][:, 0]
+            out[rows, c] = _flat_from_leaves(leaves)[:, 0]
     return out
 
 
@@ -227,12 +227,10 @@ def _snapshot(base, cum, grid_index):
     """The flow of log-state ``cum``, checked finite; grid index 0 is the base flow itself."""
     if grid_index == 0:
         return base
-    levels = _mass_levels(base, cum)
-    flat = levels[0].base  # the buffer the levels share
+    flat = _masses_flat(base, cum)
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"non-finite masses at grid index {grid_index}")
-    flat.flags.writeable = False
-    return Flow(tuple(_freeze(a) for a in levels))
+    return Flow(flat)
 
 
 def _overlap_from_flat(flat):
@@ -391,7 +389,7 @@ class StreamedPath:
         durations = np.diff(self.grid[: max(rows, default=0) + 1])
         for _, j, (state,) in _evolve_blocks(self.spec, [self.seed], durations, self.depth):
             if j in rows:
-                _feed(readers, rows[j], state, lambda: _mass_levels_at(self.base, state, j)[0].base)
+                _feed(readers, rows[j], state, lambda: _masses_flat_at(self.base, state, j))
 
     def snapshot_summaries(self):
         """(root masses, overlaps, deepest-level shares) at every wanted snapshot.
@@ -434,16 +432,16 @@ class CascadePath(StreamedPath):
         """Per-level masses at stored snapshot i, root first.
 
         The levels are views of one new level-major buffer, the array
-        ``masses_flat`` returns; at grid index 0 it holds the base flow's
-        own levels.
+        ``masses_flat`` returns; at grid index 0 it is a copy of the base
+        flow's ``flat``.
         """
-        return _mass_levels_at(self.base, self._cum[i], self.snapshot_indices[i])
+        return _level_views(_masses_flat_at(self.base, self._cum[i], self.snapshot_indices[i]))
 
     def masses_flat(self, i):
         """All masses at snapshot i, level-major; vertex v sits at 2^|v| - 1 + bits.
 
         A new buffer per call, the one that the levels ``mass_levels``
-        returns are views of: no concatenation.
+        returns are views of.
         """
         return self.mass_levels(i)[0].base
 

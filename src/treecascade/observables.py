@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import _evolve_blocks, _leaf_masses, _level_slices, _overlap_from_flat
 from .rng import derive_seeds
-from .tree import FLOW_REL_TOL, _levels_from_leaves, common_ancestor_depth, flat_index
+from .tree import FLOW_REL_TOL, _flat_from_leaves, common_ancestor_depth, flat_index
 from . import weights as wp
 
 __all__ = [
@@ -46,7 +46,7 @@ GIRSANOV_MAX_DEPTH = 4
 def overlap(f):
     """sum over v != root of (mass(v)/mass(root))^2, the truncated
     expected meeting depth of two independent rays; NaN for a zero root."""
-    return _overlap_from_flat(np.concatenate(f.levels))[0]
+    return _overlap_from_flat(f.flat)[0]
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,20 @@ def overlap_series(path):
     return OverlapSeries(times=path.times.copy(), overlap=q.copy(), tail_flag=flagged)
 
 
+def _log_or_nan(masses):
+    # log of each mass, NaN without a warning where the mass is zero
+    with np.errstate(divide="ignore"):
+        logs = np.log(masses)
+    logs[masses == 0.0] = math.nan
+    return logs
+
+
 def path_observables(path):
     """(times, root_mass, overlap, cum_qv) arrays over the path's snapshots;
     cum_qv is the running sum of squared log root-mass increments, NaN
     from the first increment that meets a zero root on."""
     roots, q, _ = path.snapshot_summaries()
-    with np.errstate(divide="ignore"):
-        log_roots = np.log(roots)
-    log_roots[roots == 0.0] = math.nan
+    log_roots = _log_or_nan(roots)
     cum_qv = np.zeros_like(roots)
     np.cumsum(np.diff(log_roots) ** 2, out=cum_qv[1:])
     return path.times.copy(), roots.copy(), q.copy(), cum_qv
@@ -112,14 +118,15 @@ def bracket_rate(u, v):
 
 
 def empirical_bracket(path, u, v):
-    """Realized covariation of log masses per unit time, drift-centered."""
+    """Realized covariation of log masses per unit time, drift-centered;
+    NaN when either vertex has zero mass at some snapshot."""
     if u.is_ancestor_of(v) or v.is_ancestor_of(u):
         raise ValueError("bracket rate is defined for non-ancestral pairs")
     series = path.vertex_mass_series([u, v])
     duration = float(path.times[-1] - path.times[0])
     if duration <= 0:
         raise ValueError("path must span positive time")
-    d = np.diff(np.log(series), axis=0)
+    d = np.diff(_log_or_nan(series), axis=0)
     d = d - d.mean(axis=0)
     return float(np.sum(d[:, 0] * d[:, 1])) / duration
 
@@ -195,13 +202,14 @@ def girsanov_check(base, spec, t_end, vertex, replicas, seed, step=0.01):
     seeds = derive_seeds(seed, replicas)
     slices = _level_slices(base.depth)
 
+    at = flat_index(vertex) + 1  # a mass buffer holds the root first
     integral = np.zeros(replicas)
     m_weight, b_vertex = np.empty((2, replicas))
     dt = t_end / m_steps
     for rows, j, cum in _evolve_blocks(spec, seeds, np.full(m_steps, dt), base.depth):
         if j < m_steps:
-            levels = _levels_from_leaves(_leaf_masses(base.leaves, cum, slices))
-            integral[rows] += (levels[vertex.depth][:, vertex.bits] / levels[0][:, 0]) * dt
+            flat = _flat_from_leaves(_leaf_masses(base.leaves, cum, slices))
+            integral[rows] += (flat[:, at] / flat[:, 0]) * dt
         else:
             m_weight[rows] = _leaf_masses(base.leaves, cum, slices).sum(axis=1)
             b_vertex[rows] = cum[:, flat_index(vertex)] + 0.5 * t_end

@@ -16,8 +16,9 @@ Blocks come from numpy's C implementation, ``numpy.random.Philox``: one
 module-level generator, made on first use, is set to the wanted counter and
 key before every draw, so draws are made from one thread at a time.
 ``vertex_uniforms_multi`` is the one path from blocks to uniforms;
-``vertex_uniforms`` is its one-seed row.  ``philox4x64`` is a pure-python
-reference the tests check the blocks against.
+``vertex_uniforms`` is its one-seed row, and ``derive_seed`` and
+``derive_seeds`` draw from the same generator.  ``philox4x64`` is a
+pure-python reference the tests check the blocks against.
 """
 
 import numpy as np
@@ -202,7 +203,7 @@ def derive_seed(seed, *indices):
     s = int(seed) & _MASK64
     for idx in indices:
         idx = int(idx)
-        s = philox4x64((idx >> 2, 0, 0, PURPOSE_DERIVE), (s, 0))[idx & 3]
+        s = int(_raw_words(_start_counter((idx >> 2, 0, 0, PURPOSE_DERIVE)), 1, (s, 0))[idx & 3])
     return s
 
 

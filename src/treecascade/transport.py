@@ -62,7 +62,7 @@ def _check_pair(mu, nu, positive=False):
     for f in (mu, nu):
         if abs(f.root_mass - 1.0) > FLOW_REL_TOL:
             raise ValueError("flows must be normalized")
-        if positive and any(np.any(lvl <= 0) for lvl in f.levels):
+        if positive and np.any(f.flat <= 0):
             raise ValueError("coupling bound requires strictly positive masses")
 
 
@@ -223,8 +223,9 @@ class HolderPairs:
         if s not in last:
             return  # no pair reads snapshot s
         flat = masses()
-        # levels 1..n over the root, a new array: no materialized buffer outlives its step
-        held[s] = np.divide(flat[1:], flat[0])
+        # levels 1..n over the root, a new array: no materialized buffer outlives
+        # its step; a zero root is held as NaN, so its pairs' distances are NaN
+        held[s] = np.full(len(diff), math.nan) if flat[0] == 0.0 else np.divide(flat[1:], flat[0])
         for r, c, i in self._pairs[s]:
             np.subtract(held[i], held[s], out=diff)
             np.abs(diff, out=diff)
@@ -248,8 +249,8 @@ def holder_exponent(paths, pair_budget=64, lags=None):
     `paths` may be a single path, streamed or stored, or an iterable of
     them (consumed lazily, so a generator of stored paths keeps only one
     in memory, and one of ``engine.stream_path`` paths stores none).  Zero
-    distances are dropped; a fit with fewer than 2 usable lags is reported
-    degenerate.
+    distances and the NaN ones of zero-root snapshots are dropped; a fit
+    with fewer than 2 usable lags is reported degenerate.
     """
     if hasattr(paths, "read"):
         paths = [paths]

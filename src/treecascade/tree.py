@@ -8,8 +8,8 @@ step from the root, so the depth-n vertices are in bijection with the
 dyadic intervals [b 2^-n, (b+1) 2^-n).  Truncated boundary rays are
 identified with their depth-n vertex.
 
-Masses are stored per level in contiguous float64 arrays.  Flows are
-immutable; every constructor freezes its arrays.
+A flow's masses are one read-only float64 buffer in level-major order,
+vertex v at 2^|v| - 1 + bits; its levels are views of that buffer.
 """
 
 import csv
@@ -91,12 +91,6 @@ def flat_index(v):
     return (1 << v.depth) - 2 + v.bits
 
 
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
 def _check_depth(depth):
     # MAX_DEPTH is read at call time, so raising it takes effect at once
     if depth > MAX_DEPTH:
@@ -108,46 +102,50 @@ def _check_depth(depth):
 
 @dataclass(frozen=True)
 class Flow:
-    """Immutable depth-n flow; ``levels[k]`` holds the 2^k masses at depth k.
+    """Immutable depth-n flow; ``flat`` holds its 2^(n+1) - 1 masses level-major.
 
-    Depth is capped at the module-level ``MAX_DEPTH`` (raise it before
-    constructing if a run really needs deeper trees); a depth-n flow
-    keeps 2^(n+1) - 1 float64 masses in per-level contiguous arrays.
+    Vertex v sits at ``flat[2^|v| - 1 + bits]``, so level k is the view
+    ``flat[2^k - 1 : 2^(k+1) - 1]``.  The buffer is made read-only on
+    construction.  Depth is capped at the module-level ``MAX_DEPTH`` (raise
+    it before constructing if a run really needs deeper trees).
     """
 
-    levels: tuple
+    flat: np.ndarray
 
     def __post_init__(self):
         _check_depth(self.depth)
+        self.flat.flags.writeable = False
 
     @property
     def depth(self):
-        return len(self.levels) - 1
+        return self.flat.size.bit_length() - 1
+
+    @property
+    def levels(self):
+        return tuple(_level_views(self.flat))
 
     @property
     def root_mass(self):
-        return float(self.levels[0][0])
+        return float(self.flat[0])
 
     @property
     def leaves(self):
-        return self.levels[-1]
+        return self.flat[self.flat.size // 2 :]
 
     def level(self, k):
         if not 0 <= k <= self.depth:
             raise ValueError("level out of range")
-        return self.levels[k]
+        return self.flat[(1 << k) - 1 : (2 << k) - 1]
 
     def mass(self, v):
         if v.depth > self.depth:
             raise ValueError("vertex deeper than flow")
-        return float(self.levels[v.depth][v.bits])
+        return float(self.flat[(1 << v.depth) - 1 + v.bits])
 
     def __eq__(self, other):
         if not isinstance(other, Flow):
             return NotImplemented
-        return self.depth == other.depth and all(
-            np.array_equal(a, b) for a, b in zip(self.levels, other.levels)
-        )
+        return np.array_equal(self.flat, other.flat)
 
     def __hash__(self):
         return hash((self.depth, self.root_mass))
@@ -169,22 +167,18 @@ def _level_views(flat):
     return [flat[..., (1 << k) - 1 : (2 << k) - 1] for k in range(n + 1)]
 
 
-def _levels_from_leaves(leaves):
-    """Per-level pairwise sums of the leaves over the last axis, root level first.
-
-    Every level is a view of one new level-major buffer of 2^(n+1) - 1
-    masses over the last axis (``levels[0].base``); see ``_level_views``.
-    """
+def _flat_from_leaves(leaves):
+    """Level-major buffer of 2^(n+1) - 1 masses over the last axis: the leaves
+    and, above them, their pairwise sums level by level (see ``_level_views``)."""
     width = leaves.shape[-1]
     flat = np.empty(leaves.shape[:-1] + (2 * width - 1,))
-    levels = [flat[..., width - 1 :]]
-    levels[0][...] = leaves
+    flat[..., width - 1 :] = leaves
     while width > 1:
+        below = flat[..., width - 1 : 2 * width - 1]
         width //= 2
         # same bits as _pair_sums, written into the level above
-        below, above = levels[-1], flat[..., width - 1 : 2 * width - 1]
-        levels.append(np.add(below[..., 0::2], below[..., 1::2], out=above))
-    return levels[::-1]
+        np.add(below[..., 0::2], below[..., 1::2], out=flat[..., width - 1 : 2 * width - 1])
+    return flat
 
 
 def flow_from_leaves(leaves):
@@ -195,50 +189,49 @@ def flow_from_leaves(leaves):
         raise ValueError("leaf count must be a positive power of two")
     if not np.all(np.isfinite(leaves)) or np.any(leaves < 0):
         raise ValueError("leaf masses must be finite and nonnegative")
-    levels = _levels_from_leaves(leaves)
-    levels[0].base.flags.writeable = False  # the buffer the levels share
-    return Flow(tuple(_freeze(a) for a in levels))
+    return Flow(_flat_from_leaves(leaves))
 
 
 def flow_from_levels(levels):
     """Flow from explicit per-level masses (shape-checked, not conservation-checked).
 
-    The flow holds read-only copies: the caller's arrays stay as they were.
+    The flow holds a read-only copy: the caller's arrays stay as they were.
     """
-    arrs = [np.array(a, dtype=np.float64) for a in levels]
-    for k, a in enumerate(arrs):
-        if a.shape != (1 << k,):
+    levels = list(levels)
+    if not levels:
+        raise ValueError("need at least the root level")
+    _check_depth(len(levels) - 1)  # before the buffer is made
+    flat = np.empty((2 << (len(levels) - 1)) - 1)
+    for k, (view, a) in enumerate(zip(_level_views(flat), levels)):
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != view.shape:
             raise ValueError(f"level {k} must have {1 << k} masses, got shape {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a < 0):
             raise ValueError(f"level {k} has negative or non-finite masses")
-    if not arrs:
-        raise ValueError("need at least the root level")
-    return Flow(tuple(_freeze(a) for a in arrs))
+        view[...] = a
+    return Flow(flat)
 
 
 def uniform_flow(depth):
     """The uniform flow: mass 2^-k at every depth-k vertex, total mass 1."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    _check_depth(depth)  # before the levels are filled
-    return Flow(
-        tuple(_freeze(np.full(1 << k, 2.0**-k)) for k in range(depth + 1))
-    )
+    _check_depth(depth)  # before the buffer is filled
+    k = np.arange(depth + 1)
+    return Flow(np.repeat(2.0**-k, 1 << k))
 
 
 def single_ray_flow(depth, bits=0, mass=1.0):
     """Point mass on one truncated ray; zero everywhere off its root path."""
-    _check_depth(depth)  # before the levels are filled
+    _check_depth(depth)  # before the buffer is filled
     if not 0 <= bits < (1 << depth):
         raise ValueError("bits out of range for depth")
     if mass <= 0:
         raise ValueError("mass must be positive")
-    levels = []
-    for k in range(depth + 1):
-        a = np.zeros(1 << k)
-        a[bits >> (depth - k)] = mass
-        levels.append(_freeze(a))
-    return Flow(tuple(levels))
+    flat = np.zeros((2 << depth) - 1)
+    k = np.arange(depth + 1)
+    flat[(1 << k) - 1 + (bits >> (depth - k))] = mass
+    return Flow(flat)
 
 
 def normalize(f):
@@ -248,7 +241,7 @@ def normalize(f):
         raise ValueError("cannot normalize flow with nonpositive root mass")
     if root == 1.0:
         return f
-    return Flow(tuple(_freeze(a / root) for a in f.levels))
+    return Flow(f.flat / root)
 
 
 @dataclass(frozen=True)
@@ -286,8 +279,8 @@ def validate_flow(f):
         for b in np.nonzero(nonpos)[0]:
             violations.append(("nonpositive", k, int(b), float(a[b])))
     for k in range(f.depth):
-        parent = f.levels[k]
-        csum = _pair_sums(f.levels[k + 1])
+        parent = f.level(k)
+        csum = _pair_sums(f.level(k + 1))
         scale = np.maximum(np.abs(parent), np.abs(csum))
         bad = np.abs(parent - csum) > FLOW_REL_TOL * np.maximum(scale, 1e-300)
         for b in np.nonzero(bad)[0]:
@@ -298,12 +291,12 @@ def validate_flow(f):
 
 
 def truncate(f, depth):
-    """Restrict the flow to levels 0..depth."""
+    """Restrict the flow to levels 0..depth: a view of its buffer, not a copy."""
     if not 0 <= depth <= f.depth:
         raise ValueError("truncation depth out of range")
     if depth == f.depth:
         return f
-    return Flow(f.levels[: depth + 1])
+    return Flow(f.flat[: (2 << depth) - 1])
 
 
 def leaf_cdf(f):
@@ -377,10 +370,10 @@ def flow_from_csv(text):
         masses[d, b] = m
     if not masses:
         raise ValueError("empty flow table")
-    depth = max(d for d, _ in masses)
-    levels = [np.full(1 << k, np.nan) for k in range(depth + 1)]
+    flat = np.full((2 << max(d for d, _ in masses)) - 1, np.nan)
     for (d, b), m in masses.items():
-        levels[d][b] = m
+        flat[(1 << d) - 1 + b] = m
+    levels = _level_views(flat)
     for k, a in enumerate(levels):
         if np.any(np.isnan(a)):
             raise ValueError(f"level {k} is incomplete")

@@ -219,8 +219,7 @@ def test_composition(
         for j in range(i + 1, len(grid)):
             replayed = engine.compose_from_path(path, i, j)
             direct = path.masses_flat(j)
-            flat = np.concatenate([np.asarray(l) for l in replayed.levels])
-            worst = max(worst, float(np.max(np.abs(flat / direct - 1.0))))
+            worst = max(worst, float(np.max(np.abs(replayed.flat / direct - 1.0))))
         return worst
 
     stat = max(worst_for_start(i) for i in range(len(grid) - 1))
@@ -235,17 +234,14 @@ def test_composition(
     )
 
 
-def test_regularity_propagation(
-    depth=16,
-    t=0.3,
-    h_values=(1.1, 1.3, 1.5),
-    replicas=24,
-    seed=0,
-    tol=0.05,
-    min_fraction=0.95,
-    min_replicas=16,
-    spec=None,
-):
+# test_regularity_propagation: the pressure exponents it checks, the slack
+# over the propagated bound, and the fraction of replicas that must hold it
+REGULARITY_H_VALUES = (1.1, 1.3, 1.5)
+REGULARITY_TOL = 0.05
+REGULARITY_MIN_FRACTION = 0.95
+
+
+def test_regularity_propagation(depth=16, t=0.3, replicas=24, seed=0, min_replicas=16, spec=None):
     """Snapshots keep fitted pressure under the propagated analytic bound."""
     if spec is None:
         spec = wp.gaussian_spec()
@@ -255,9 +251,9 @@ def test_regularity_propagation(
     def one(r):
         path = engine.simulate_path(base, spec, [0.0, t], seed=int(seeds[r]), snapshot_times=[t])
         snap = path.snapshot(0)
-        for h in h_values:
+        for h in REGULARITY_H_VALUES:
             bound = regularity.pressure(regularity.THETA, h) + wp.log_moment(spec, t, h)
-            if regularity.pressure(snap, h) > bound + tol:
+            if regularity.pressure(snap, h) > bound + REGULARITY_TOL:
                 return False
         return True
 
@@ -266,11 +262,11 @@ def test_regularity_propagation(
     return TestReport(
         test_name="regularity_propagation",
         statistic=float(frac),
-        threshold=min_fraction,
+        threshold=REGULARITY_MIN_FRACTION,
         replicas=replicas,
         seed=seed,
-        verdict=_verdict(frac >= min_fraction, replicas, min_replicas),
-        detail=f"depth={depth} t={t} h={tuple(h_values)}",
+        verdict=_verdict(frac >= REGULARITY_MIN_FRACTION, replicas, min_replicas),
+        detail=f"depth={depth} t={t} h={REGULARITY_H_VALUES}",
     )
 
 

@@ -243,21 +243,18 @@ class TestSimulatePath:
                 assert lvl.tobytes() == r.tobytes()
             assert path.masses_flat(i).tobytes() == want[i].tobytes()
             snap = path.snapshot(i)
+            assert snap.flat.tobytes() == want[i].tobytes()
             for lvl, r in zip(snap.levels, ref):
                 assert lvl.tobytes() == r.tobytes()
-            # a flow's levels share one buffer, not a copy, frozen with them
-            assert snap.levels[0].base is not None
-            assert all(lvl.base is snap.levels[0].base for lvl in snap.levels)
-            assert not snap.levels[0].base.flags.writeable
+            # a flow's levels are views of its one buffer, frozen with it
+            assert all(lvl.base is snap.flat for lvl in snap.levels)
+            assert not snap.flat.flags.writeable
             assert not any(lvl.flags.writeable for lvl in snap.levels)
         # an (R, size) batch: one (R, 2^(n+1) - 1) buffer, a level-major row per state
         batch = np.stack([path.log_weight_state(i) for i in range(path.n_snapshots)])
-        levels = tree._levels_from_leaves(
-            engine._leaf_masses(leaves, batch, engine._level_slices(depth))
-        )
-        flat = levels[0].base
+        leaf_batch = engine._leaf_masses(leaves, batch, engine._level_slices(depth))
+        flat = tree._flat_from_leaves(leaf_batch)
         assert flat.shape == (path.n_snapshots, (2 << depth) - 1)
-        assert all(lvl.base is flat for lvl in levels)
         assert flat.tobytes() == np.stack(want).tobytes()
 
     @pytest.mark.parametrize("case", ["depth0", "depth1", "zero_leaves", "subtree", "wide_batch"])
@@ -313,13 +310,13 @@ class TestSimulatePath:
 
     def test_summaries_materialize_each_snapshot_once(self, monkeypatch):
         calls = []
-        mass_levels = engine._mass_levels
+        masses_flat = engine._masses_flat
 
         def counted(base, cum):
             calls.append(1)
-            return mass_levels(base, cum)
+            return masses_flat(base, cum)
 
-        monkeypatch.setattr(engine, "_mass_levels", counted)
+        monkeypatch.setattr(engine, "_masses_flat", counted)
         path = engine.simulate_path(
             tree.uniform_flow(4), wp.gaussian_spec(), engine.make_grid(0.3, 0.05), seed=5
         )
@@ -451,6 +448,22 @@ class TestStreamPath:
         report = observables.explosion_monitor(path)
         assert np.all(np.isnan(report.cum_overlap_integral[1:])) and not report.flagged
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [engine.stream_path, engine.simulate_path])
+    def test_zero_root_gives_nan_holder_without_warning(self, make):
+        base, spec, _, _ = _stream_case("zero_root")
+        grid = engine.make_grid(0.2, 0.01)
+        path = make(base, spec, grid, seed=1)
+        rows = transport.holder_distances(path, pair_budget=8)
+        assert len(rows) == len(transport.holder_lags(len(grid))) > 1
+        assert all(np.all(np.isnan(dists)) for _, dists in rows)
+        fit = transport.holder_exponent(path, pair_budget=8)
+        assert fit.degenerate and fit.lag_times == () and math.isnan(fit.slope)
+        assert fit.n_pairs == sum(len(dists) for _, dists in rows)
+        # a positive base on the same grid fits
+        positive = make(tree.uniform_flow(2), spec, grid, seed=1)
+        assert not transport.holder_exponent(positive, pair_budget=8).degenerate
+
     def test_two_analyses_read_the_summaries_once(self, monkeypatch):
         base, spec, grid, _ = _stream_case("zero_mass_leaves")
         path = engine.stream_path(base, spec, grid, seed=11)
@@ -462,13 +475,13 @@ class TestStreamPath:
 
     def test_one_materialization_per_step_for_all_readers(self, monkeypatch):
         calls = []
-        mass_levels = engine._mass_levels
+        masses_flat = engine._masses_flat
 
         def counted(base, cum):
             calls.append(1)
-            return mass_levels(base, cum)
+            return masses_flat(base, cum)
 
-        monkeypatch.setattr(engine, "_mass_levels", counted)
+        monkeypatch.setattr(engine, "_masses_flat", counted)
         grid = engine.make_grid(0.2, 0.01)
         readers = [engine.SnapshotSummaries(len(grid)), transport.HolderPairs(grid, 4)]
         engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, seed=3).read(readers)

@@ -107,6 +107,16 @@ class TestBracket:
         assert abs(mean - obs.bracket_rate(u, v)) < 4 * se
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [engine.stream_path, engine.simulate_path])
+    def test_empirical_bracket_nan_at_zero_mass(self, make):
+        # leaf 0 carries no mass, so its log mass is NaN at every snapshot
+        base = tree.flow_from_leaves([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        path = make(base, wp.gaussian_spec(), engine.make_grid(0.1, 0.01), seed=5)
+        assert math.isnan(obs.empirical_bracket(path, tree.Vertex(3, 0), tree.Vertex(3, 7)))
+        assert math.isfinite(obs.empirical_bracket(path, tree.Vertex(3, 1), tree.Vertex(3, 7)))
+
+
 class TestExplosion:
     def test_no_flags_at_small_time(self):
         base = tree.uniform_flow(8)

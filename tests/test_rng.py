@@ -138,6 +138,28 @@ def test_derive_seeds_matches_derive_seed():
     got = rng.derive_seeds(11, 9)
     want = [rng.derive_seed(11, i) for i in range(9)]
     assert [int(x) for x in got] == want
+    # a 64-bit tag, as verify derives each suite entry's seed, and a two-index path
+    tag = 0xE3B0C44298FC1C14
+    child = rng.derive_seed(42, tag)
+    assert child == _reference_derive_seed(42, tag)
+    assert rng.derive_seed(42, tag, 5) == int(rng.derive_seeds(child, 6)[5])
+    assert rng.derive_seed(42, tag, 5) == _reference_derive_seed(42, tag, 5)
+
+
+def _reference_derive_seed(seed, *indices):
+    # derive_seed through the pure-python reference block
+    s = int(seed) & (2**64 - 1)
+    for idx in indices:
+        s = rng.philox4x64((idx >> 2, 0, 0, rng.PURPOSE_DERIVE), (s, 0))[idx & 3]
+    return s
+
+
+@given(
+    seed=st.integers(-(2**64), 2**66),
+    indices=st.lists(st.integers(-(2**66), 2**66), max_size=3),
+)
+def test_derive_seed_matches_reference_block(seed, indices):
+    assert rng.derive_seed(seed, *indices) == _reference_derive_seed(seed, *indices)
 
 
 @given(seed=U64, i=st.integers(0, 1000), j=st.integers(0, 1000))

@@ -369,17 +369,17 @@ class TestHolderSweep:
         reader = transport.HolderPairs(grid, 4, pair_budget=12, lags=lags)
         pairs = [pair for lag_pairs in _pairs(len(grid), lags, 12) for pair in lag_pairs]
         buffers, sizes = [], []
-        mass_levels_at = engine._mass_levels_at
+        masses_flat_at = engine._masses_flat_at
 
         def watched(base, cum, s):
             assert all(ref() is None for ref in buffers)
             assert len(reader.held) <= sum(i < s <= j for i, j in pairs)
             sizes.append(len(reader.held))
-            levels = mass_levels_at(base, cum, s)
-            buffers.append(weakref.ref(levels[0].base))
-            return levels
+            flat = masses_flat_at(base, cum, s)
+            buffers.append(weakref.ref(flat))
+            return flat
 
-        monkeypatch.setattr(engine, "_mass_levels_at", watched)
+        monkeypatch.setattr(engine, "_masses_flat_at", watched)
         engine.stream_path(tree.uniform_flow(4), wp.gaussian_spec(), grid, seed=3).read([reader])
         assert len(sizes) > 30 and max(sizes) > 1
         assert reader.held == {}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treecascade import tree
+from treecascade import engine, tree
+from treecascade import weights as wp
 
 
 def leaf_arrays(max_depth=6):
@@ -94,7 +95,18 @@ class TestFlowConstruction:
         with pytest.raises(ValueError):
             tree.uniform_flow(tree.MAX_DEPTH + 1)
 
-    @pytest.mark.parametrize("make", [tree.uniform_flow, tree.single_ray_flow])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            tree.uniform_flow,
+            tree.single_ray_flow,
+            # the uniform levels as zero-stride views: nothing is allocated
+            lambda d: tree.flow_from_levels(
+                [np.broadcast_to(2.0**-k, 1 << k) for k in range(d + 1)]
+            ),
+        ],
+        ids=["uniform_flow", "single_ray_flow", "flow_from_levels"],
+    )
     def test_depth_cap_checked_before_levels_are_filled(self, make, monkeypatch):
         # the cap is read at call time; filling depth 16 would take 1 MiB
         monkeypatch.setattr(tree, "MAX_DEPTH", 4)
@@ -126,12 +138,74 @@ class TestFlowConstruction:
         # an (R, 2^n) replica batch reduces along its last axis
         batch = np.asarray(leaves, dtype=np.float64)
         batch = np.stack([batch, batch[::-1], 3.0 * batch])
-        levels = tree._levels_from_leaves(batch)
+        levels = tree._level_views(tree._flat_from_leaves(batch))
         assert len(levels) == f.depth + 1
         for k in range(f.depth, 0, -1):
             assert levels[k].tobytes() == batch.tobytes()
             batch = batch.reshape(3, -1, 2).sum(axis=2)
         assert levels[0].tobytes() == batch.tobytes()
+
+
+def _stored_path():
+    base = tree.flow_from_leaves(np.arange(1.0, 9.0))
+    return engine.simulate_path(base, wp.gaussian_spec(), [0.0, 0.1, 0.3], seed=3)
+
+
+def _loaded(suffix):
+    def load(tmp_path):
+        path = tmp_path / f"flow{suffix}"
+        tree.save_flow(tree.flow_from_leaves(np.arange(1.0, 9.0)), path)
+        return tree.load_flow(path)
+
+    return load
+
+
+# every way to make a flow, each called with a temporary directory
+FLOW_MAKERS = {
+    "flow_from_leaves": lambda _: tree.flow_from_leaves(np.arange(1.0, 9.0)),
+    "flow_from_levels": lambda _: tree.flow_from_levels([[3.0], [1.0, 2.0], [0.5, 0.5, 1.0, 1.0]]),
+    "uniform_flow": lambda _: tree.uniform_flow(4),
+    "single_ray_flow": lambda _: tree.single_ray_flow(3, bits=0b110, mass=2.0),
+    "normalize": lambda _: tree.normalize(tree.flow_from_leaves(np.arange(1.0, 9.0))),
+    "truncate": lambda _: tree.truncate(tree.uniform_flow(4), 2),
+    "load_flow_json": _loaded(".json"),
+    "load_flow_csv": _loaded(".csv"),
+    "snapshot": lambda _: _stored_path().snapshot(2),
+    "compose_from_path": lambda _: engine.compose_from_path(_stored_path(), 1, 2),
+}
+
+
+class TestFlowBuffer:
+    @pytest.mark.parametrize("make", sorted(FLOW_MAKERS))
+    def test_flat_is_read_only_and_levels_are_views(self, make, tmp_path):
+        f = FLOW_MAKERS[make](tmp_path)
+        flat = f.flat
+        assert flat.dtype == np.float64 and flat.shape == ((2 << f.depth) - 1,)
+        assert not flat.flags.writeable
+        with pytest.raises(ValueError):
+            flat[0] = 1.0
+        assert len(f.levels) == f.depth + 1
+        for k, level in enumerate(f.levels):
+            # level k starts 2^k - 1 masses into the buffer
+            assert np.shares_memory(level, flat)
+            assert level.ctypes.data == flat.ctypes.data + 8 * ((1 << k) - 1)
+            assert level.shape == (1 << k,) and not level.flags.writeable
+            assert f.level(k).ctypes.data == level.ctypes.data
+        assert f.leaves.ctypes.data == f.levels[-1].ctypes.data
+        assert f == tree.flow_from_levels(f.levels)
+
+    def test_truncate_makes_no_copy(self):
+        f = tree.flow_from_leaves(np.arange(1.0, 17.0))
+        for depth in range(f.depth + 1):
+            t = tree.truncate(f, depth)
+            assert t.flat.ctypes.data == f.flat.ctypes.data
+            assert t.flat.tobytes() == f.flat[: (2 << depth) - 1].tobytes()
+        assert tree.truncate(f, f.depth) is f
+
+    def test_equality_reads_every_mass(self):
+        f = tree.uniform_flow(2)
+        assert f != tree.uniform_flow(3)
+        assert f != tree.flow_from_levels([[1.0], [0.5, 0.5], [0.25, 0.25, 0.5, 0.0]])
 
 
 class TestFlowOps:
