@@ -6,10 +6,11 @@ one run at a time.  The JSON written holds the machine, the Python,
 numpy and scipy versions, both commits and, per workload and end-to-end
 metric, the median and quartiles of each side, the number of pairs the
 change won, the change's median relative to the parent's, the parent's
-quartile spread, and the metric's bound from BENCHMARK.json with whether
-the change's median lies within it.  The file is rewritten after every
-pair, so a run stopped part way keeps the pairs that finished; each
-workload's ``seeds`` and ``pairs`` count those.
+quartile spread, the metric's bound from BENCHMARK.json with whether
+the change's median lies within it, and two verdicts: whether a gain
+resolves and whether the metric is unresolved.  The file is rewritten
+after every pair, so a run stopped part way keeps the pairs that
+finished; each workload's ``seeds`` and ``pairs`` count those.
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --parent-commit abc1234 --change-commit def5678 \\
@@ -47,15 +48,25 @@ def compare(parent, change, better, bound):
     positive when higher), ``parent_spread`` the parent's (q3 - q1) / median,
     and ``within_bound`` whether the change's median is worse than the
     parent's by no more than ``bound``, a share of the parent's median.
+    ``gain_resolves`` holds when the change wins at least nine tenths of
+    all pairs (a tie counts for neither side) and its median is better by
+    more than the parent's q3 - q1.  ``unresolved`` holds when the parent's
+    spread is wider than ``bound`` and not every change run is better than
+    every parent run: the runs cannot then tell a change within the bound
+    from one beyond it.
     """
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p, c = summary(parent), summary(change)
     relative = c["median"] / p["median"] - 1.0
+    spread = (p["q3"] - p["q1"]) / p["median"]
+    separated = all(sign * (y - x) < 0 for x in parent for y in change)
     return {"better": better, "parent": p, "change": c, "pairs_won": int(won),
-            "pairs": len(parent), "relative": relative,
-            "parent_spread": (p["q3"] - p["q1"]) / p["median"], "bound": bound,
-            "within_bound": bool(sign * relative <= bound)}
+            "pairs": len(parent), "relative": relative, "parent_spread": spread,
+            "bound": bound, "within_bound": bool(sign * relative <= bound),
+            "gain_resolves": bool(10 * won >= 9 * len(parent)
+                                  and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]),
+            "unresolved": bool(spread > bound and not separated)}
 
 
 def _workload_record(runs, seeds, end_to_end):

@@ -310,6 +310,9 @@ class _VertexSeries:
 
 def make_grid(t_end, step):
     """Uniform grid 0, step, ..., t_end; t_end must be a near-multiple of step."""
+    for name, value in (("t_end", t_end), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if t_end == 0:
@@ -485,6 +488,8 @@ def _path_frame(grid, snapshot_times):
             if len(hits) != 1:
                 raise ValueError(f"snapshot time {t!r} is not on the grid")
             idx.append(int(hits[0]))
+        if not idx:
+            raise ValueError("snapshot_times must name at least one grid time")
         want = np.array(sorted(set(idx)), dtype=np.int64)
     return grid, want
 
@@ -509,7 +514,8 @@ def simulate_path(base, spec, grid, seed=0, snapshot_times=None):
     seed : int
         Path seed; every draw is addressed by (seed, vertex, step index).
     snapshot_times : sequence of float, optional
-        Grid times at which to store state (default: all grid times).
+        Grid times at which to store state, at least one (default: all
+        grid times).
 
     Returns
     -------

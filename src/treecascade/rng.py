@@ -15,8 +15,8 @@ Consequences that the rest of the package relies on:
 Blocks come from numpy's C implementation, ``numpy.random.Philox``: one
 module-level generator, made on first use, is set to the wanted counter and
 key before every draw, so draws are made from one thread at a time.
-``vertex_uniforms_multi`` is the one path from blocks to uniforms;
-``vertex_uniforms`` is its one-seed row, and ``derive_seed`` and
+``vertex_uniforms_multi`` is the one path from blocks to uniforms, for a
+batch of seeds (a batch of one for a single path), and ``derive_seed`` and
 ``derive_seeds`` draw from the same generator.  ``philox4x64`` is a
 pure-python reference the tests check the blocks against.
 """
@@ -135,45 +135,22 @@ def _top_bits_to_uniforms(top, out):
 def _word_span(first, count, lanes):
     # First block, block count and offset of the first wanted word, for
     # items first .. first+count-1 of `lanes` words each.
-    if lanes not in (1, 2, 4):
-        raise ValueError("lanes must be 1, 2, or 4")
+    if lanes not in (1, 2):
+        raise ValueError("lanes must be 1 or 2")
     w_lo = first * lanes
     b_lo = w_lo // 4
     return b_lo, -(-(w_lo + count * lanes) // 4) - b_lo, w_lo - 4 * b_lo
 
 
-def vertex_uniforms(seed, step_index, first, count, lanes):
-    """Uniform draws addressed by flat vertex index: one row of ``vertex_uniforms_multi``.
-
-    Item ``f`` (``first <= f < first + count``) receives ``lanes``
-    consecutive words of the keyed Philox stream, starting at word
-    ``f * lanes``.  The mapping is independent of ``first``/``count``
-    slicing, so bulk generation and single-vertex lookups agree.
-
-    Parameters
-    ----------
-    seed : int
-        Key word, reduced mod 2^64; use a per-path seed.
-    step_index : int
-        Time-grid step the draw belongs to (counter word).
-    first, count : int
-        Flat vertex index range to produce.
-    lanes : int
-        Uniforms per vertex; must divide 4.
-
-    Returns
-    -------
-    ndarray, shape (count, lanes)
-    """
-    return vertex_uniforms_multi([seed], step_index, first, count, lanes)[0]
-
-
 def vertex_uniforms_multi(seeds, step_index, first, count, lanes, out=None):
-    """``vertex_uniforms`` for a batch of seeds; shape (len(seeds), count, lanes).
+    """Uniforms addressed by flat vertex index; shape (len(seeds), count, lanes).
 
-    Row r holds the draws keyed by ``seeds[r]``, each seed reduced mod 2^64.
-    ``out``, if given, is a C-contiguous float64 array of that shape that
-    receives the uniforms and is returned.
+    Row r holds the draws keyed by ``seeds[r]`` (reduced mod 2^64) at grid
+    step ``step_index``: item ``f`` (``first <= f < first + count``) gets
+    ``lanes`` (1 or 2) consecutive words of the keyed Philox stream from
+    word ``f * lanes``, so bulk and single-vertex draws agree however the
+    range or the seeds are batched.  ``out``, if given, is a C-contiguous
+    float64 array of that shape that receives the uniforms and is returned.
     """
     b_lo, n_blocks, skip = _word_span(first, count, lanes)
     shape = (len(seeds), count, lanes)

@@ -105,16 +105,29 @@ class Flow:
     """Immutable depth-n flow; ``flat`` holds its 2^(n+1) - 1 masses level-major.
 
     Vertex v sits at ``flat[2^|v| - 1 + bits]``, so level k is the view
-    ``flat[2^k - 1 : 2^(k+1) - 1]``.  The buffer is made read-only on
-    construction.  Depth is capped at the module-level ``MAX_DEPTH`` (raise
-    it before constructing if a run really needs deeper trees).
+    ``flat[2^k - 1 : 2^(k+1) - 1]``.  Construction checks that layout and
+    makes the buffer read-only; pickle and deepcopy construct anew.  Depth
+    is capped at the module-level ``MAX_DEPTH`` (raise it before
+    constructing if a run really needs deeper trees).
     """
 
     flat: np.ndarray
 
     def __post_init__(self):
+        flat = self.flat
+        size = flat.size if isinstance(flat, np.ndarray) and flat.ndim == 1 else 0
+        if size == 0 or size & (size + 1) or flat.dtype != np.float64:
+            raise ValueError(
+                "a flow's masses must be a 1-D float64 array of 2^(n+1) - 1 entries, "
+                f"got shape {np.shape(flat)} and dtype {getattr(flat, 'dtype', None)}"
+            )
         _check_depth(self.depth)
-        self.flat.flags.writeable = False
+        flat.flags.writeable = False
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which makes
+        # the restored buffer read-only again
+        return Flow, (self.flat,)
 
     @property
     def depth(self):

@@ -17,11 +17,11 @@ it equals t/2.
 Every increment is addressed by (seed, vertex, step index): identical
 addresses give identical increments, distinct ones independent ones.
 Every draw runs through one code path, ``log_increments_multi``, for a
-batch of seeds and a range of vertices in level-major flat order:
-``log_increments`` is one row of it, and a one-vertex range reproduces
-any simulated increment exactly.  ``engine._evolve`` passes it an increments
-buffer (or the state itself, for a single draw) and, for compound Poisson,
-a lane buffer that every step and block of an evolution reuses.
+batch of seeds (a batch of one for a single path) and a range of vertices
+in level-major flat order; a one-vertex range reproduces any simulated
+increment exactly.  ``engine._evolve`` passes it an increments buffer (or
+the state itself, for a single draw) and, for compound Poisson, a lane
+buffer that every step and block of an evolution reuses.
 """
 
 import math
@@ -43,7 +43,6 @@ __all__ = [
     "moment",
     "log_moment",
     "w_log_w",
-    "log_increments",
     "log_increments_multi",
 ]
 
@@ -193,23 +192,15 @@ def _lane_buffer(spec, shape):
     return np.empty(shape + (2,)) if spec.kind == COMPOUND_POISSON else None
 
 
-def log_increments(spec, duration, seed, step_index, first_flat, count):
-    """log of the weight increments over a step of ``duration`` for a flat vertex range.
-
-    One row of ``log_increments_multi``.  ``first_flat``/``count`` address
-    vertices in level-major flat order (see ``tree.flat_index``).  The
-    built-in kinds have stationary increments, so the step's start time
-    does not enter.
-    """
-    return log_increments_multi(spec, duration, [seed], step_index, first_flat, count)[0]
-
-
 def log_increments_multi(
     spec, duration, seeds, step_index, first_flat, count, out=None, *, _lanes=None
 ):
     """Log weight increments over a step of ``duration`` per seed; shape (len(seeds), count).
 
-    Row r holds the increments keyed by ``seeds[r]``.  ``out``, if given,
+    Row r holds the increments keyed by ``seeds[r]`` for the vertices
+    ``first_flat .. first_flat + count - 1`` in level-major flat order (see
+    ``tree.flat_index``).  The built-in kinds have stationary increments,
+    so the step's start time does not enter.  ``out``, if given,
     is a C-contiguous float64 array of that shape that receives the
     increments and is returned.  ``_lanes`` is internal: ``engine._evolve``
     passes one ``_lane_buffer`` that every step of an evolution reuses.

@@ -61,6 +61,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             engine.make_grid(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "t_end, step, match",
+        [(math.nan, 0.1, "t_end must be finite, got nan"),
+         (math.inf, 0.1, "t_end must be finite, got inf"),
+         (1.0, math.nan, "step must be finite, got nan"),
+         (0.0, -math.inf, "step must be finite, got -inf")],
+    )
+    def test_make_grid_rejects_non_finite(self, t_end, step, match):
+        with pytest.raises(ValueError, match=match):
+            engine.make_grid(t_end, step)
+
 
 class TestCascadeStatic:
     def test_unit_weights_reproduce_base_exactly(self):
@@ -434,6 +445,13 @@ class TestStreamPath:
             for make in (engine.stream_path, engine.simulate_path)
         ]
         assert _bits(fits[0]) == _bits(fits[1])
+
+    @pytest.mark.parametrize("make", [engine.stream_path, engine.simulate_path])
+    def test_empty_snapshot_times_rejected(self, make):
+        # a path with no snapshot would leave every analysis without a row to read
+        with pytest.raises(ValueError, match="at least one grid time"):
+            make(tree.uniform_flow(2), wp.gaussian_spec(), engine.make_grid(0.2, 0.1),
+                 snapshot_times=[])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("make", [engine.stream_path, engine.simulate_path])

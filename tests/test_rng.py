@@ -50,7 +50,7 @@ def test_philox_blocks_match_reference_at_borrows(key):
     # the public producers at those counters
     block = rng.philox4x64((0, 0, 2, rng.PURPOSE_INCREMENT), (key, 0))
     want = rng.words_to_uniforms(np.array(block, dtype=np.uint64)).reshape(2, 2)
-    assert np.array_equal(rng.vertex_uniforms(key, 2, 0, 2, 2), want)
+    assert np.array_equal(rng.vertex_uniforms_multi([key], 2, 0, 2, 2)[0], want)
     multi = rng.vertex_uniforms_multi(np.array([key, 5], dtype=np.uint64), 2, 0, 2, 2)
     assert np.array_equal(multi[0], want)
     assert [int(x) for x in rng.derive_seeds(key, 4)] == list(
@@ -64,7 +64,7 @@ def test_philox_blocks_match_reference_at_borrows(key):
 
 
 def test_uniforms_in_open_unit_interval():
-    u = rng.vertex_uniforms(0, 1, 0, 4096, 2)
+    u = rng.vertex_uniforms_multi([0], 1, 0, 4096, 2)[0]
     assert u.shape == (4096, 2)
     assert np.all(u > 0) and np.all(u < 1)
 
@@ -87,23 +87,23 @@ def test_words_to_uniforms_into_out():
 
 
 def test_vertex_uniforms_frozen():
-    u = rng.vertex_uniforms(9, 1, 0, 6, 2)
+    u = rng.vertex_uniforms_multi([9], 1, 0, 6, 2)[0]
     assert float(u[0, 0]) == 0.3768497853424308
     assert float(u[0, 1]) == 0.46931954863827546
 
 
 def test_vertex_uniforms_position_keyed():
     # draws for a vertex range do not depend on how the range is chunked
-    full = rng.vertex_uniforms(5, 2, 0, 64, 2)
-    lo = rng.vertex_uniforms(5, 2, 0, 24, 2)
-    hi = rng.vertex_uniforms(5, 2, 24, 40, 2)
+    full = rng.vertex_uniforms_multi([5], 2, 0, 64, 2)[0]
+    lo = rng.vertex_uniforms_multi([5], 2, 0, 24, 2)[0]
+    hi = rng.vertex_uniforms_multi([5], 2, 24, 40, 2)[0]
     assert np.array_equal(full, np.vstack([lo, hi]))
 
 
 def test_vertex_uniforms_streams_disjoint():
-    a = rng.vertex_uniforms(5, 1, 0, 128, 2)
-    b = rng.vertex_uniforms(5, 2, 0, 128, 2)
-    c = rng.vertex_uniforms(6, 1, 0, 128, 2)
+    a = rng.vertex_uniforms_multi([5], 1, 0, 128, 2)[0]
+    b = rng.vertex_uniforms_multi([5], 2, 0, 128, 2)[0]
+    c = rng.vertex_uniforms_multi([6], 1, 0, 128, 2)[0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -112,7 +112,7 @@ def test_vertex_uniforms_multi_matches_single():
     seeds = np.array([3, 17, 123456789], dtype=np.uint64)
     multi = rng.vertex_uniforms_multi(seeds, 4, 0, 10, 2)
     for i, s in enumerate(seeds):
-        assert np.array_equal(multi[i], rng.vertex_uniforms(int(s), 4, 0, 10, 2))
+        assert np.array_equal(multi[i], rng.vertex_uniforms_multi([int(s)], 4, 0, 10, 2)[0])
 
 
 def test_vertex_uniforms_multi_into_out():
@@ -122,6 +122,13 @@ def test_vertex_uniforms_multi_into_out():
     assert np.array_equal(out, rng.vertex_uniforms_multi(seeds, 4, 5, 10, 2))
     with pytest.raises(ValueError, match="out must be"):
         rng.vertex_uniforms_multi(seeds, 4, 5, 10, 2, out=np.empty((2, 10, 1)))
+
+
+@pytest.mark.parametrize("lanes", [3, 4])
+def test_lanes_are_one_or_two(lanes):
+    # the Gaussian kind draws one word per vertex, compound Poisson two
+    with pytest.raises(ValueError, match="lanes must be 1 or 2"):
+        rng.vertex_uniforms_multi([5], 1, 0, 8, lanes)
 
 
 def test_derive_seed_frozen_values():

@@ -90,6 +90,25 @@ def test_bench_compare_summarizes_synthetic_runs(tmp_path, monkeypatch):
     assert not module.compare([100.0] * 3, [70.0] * 3, "higher", 0.25)["within_bound"]
     assert module.compare([100.0] * 3, [80.0] * 3, "higher", 0.25)["within_bound"]
     assert not module.compare([1.0] * 3, [1.3] * 3, "lower", 0.25)["within_bound"]
+    # verdicts: a loss and a tie gain nothing, a steady 1 % win resolves,
+    # and no spread here is wider than its bound
+    assert not wall["gain_resolves"] and not wall["unresolved"]
+    assert rss["gain_resolves"] and not rss["unresolved"]
+    assert not metrics["vertex_steps_per_s"]["gain_resolves"]
+    # nine wins in ten pairs resolve a gain, a tie counting for neither side; eight do not
+    assert module.compare([10.0] * 10, [9.0] * 9 + [10.0], "lower", 0.05)["gain_resolves"]
+    assert not module.compare([10.0] * 10, [9.0] * 8 + [11.0] * 2, "lower", 0.05)["gain_resolves"]
+    assert module.compare([10.0] * 10, [11.0] * 9 + [9.0], "higher", 0.05)["gain_resolves"]
+    # every pair won, but the medians differ by less than the parent's q3 - q1 (2)
+    noisy = [1.0, 2.0, 3.0, 4.0, 5.0]
+    close = module.compare(noisy, [x - 0.1 for x in noisy], "lower", 0.25)
+    assert close["pairs_won"] == 5 and not close["gain_resolves"]
+    # a parent spread of 2/3 is wider than the bound: unresolved, unless
+    # every change run beats every parent run
+    assert close["unresolved"]
+    apart = module.compare(noisy, [0.5] * 5, "lower", 0.25)
+    assert apart["gain_resolves"] and not apart["unresolved"]
+    assert not module.compare(noisy, [6.0] * 5, "higher", 0.25)["unresolved"]
 
 
 def test_bench_compare_keeps_finished_pairs(tmp_path, monkeypatch):

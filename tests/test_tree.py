@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -193,6 +195,25 @@ class TestFlowBuffer:
             assert f.level(k).ctypes.data == level.ctypes.data
         assert f.leaves.ctypes.data == f.levels[-1].ctypes.data
         assert f == tree.flow_from_levels(f.levels)
+
+    @pytest.mark.parametrize("make", sorted(FLOW_MAKERS))
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_stay_read_only(self, make, clone, tmp_path):
+        f = FLOW_MAKERS[make](tmp_path)
+        g = clone(f)
+        assert g == f and g.flat is not f.flat
+        assert not g.flat.flags.writeable
+
+    @pytest.mark.parametrize(
+        "flat",
+        [np.ones(4), np.arange(3), np.ones(0), np.ones((1, 3)), np.ones(3, dtype=np.float32),
+         [1.0]],
+    )
+    def test_constructor_rejects_malformed_buffer(self, flat):
+        with pytest.raises(ValueError, match="1-D float64 array of 2"):
+            tree.Flow(flat)
 
     def test_truncate_makes_no_copy(self):
         f = tree.flow_from_leaves(np.arange(1.0, 17.0))

@@ -127,20 +127,20 @@ class TestPoissonCounts:
             wp._poisson_counts(u, 1e10)
         spec = wp.compound_poisson_spec(rate=2e10)
         with pytest.raises(ValueError, match="Poisson mean"):
-            wp.log_increments(spec, 0.5, 1, 1, 0, 7)
+            wp.log_increments_multi(spec, 0.5, [1], 1, 0, 7)
 
 
 class TestIncrements:
     def test_deterministic_given_key(self):
         spec = wp.gaussian_spec()
-        a = wp.log_increments(spec, 0.1, 7, 1, 0, 64)
-        b = wp.log_increments(spec, 0.1, 7, 1, 0, 64)
+        a = wp.log_increments_multi(spec, 0.1, [7], 1, 0, 64)[0]
+        b = wp.log_increments_multi(spec, 0.1, [7], 1, 0, 64)[0]
         assert np.array_equal(a, b)
 
     def test_zero_duration_is_unit_weight(self):
         spec = wp.gaussian_spec()
-        assert np.all(wp.log_increments(spec, 0.0, 7, 1, 0, 8) == 0.0)
-        one = wp.log_increments(spec, 0.0, 7, 1, tree.flat_index(tree.Vertex(1, 0)), 1)
+        assert np.all(wp.log_increments_multi(spec, 0.0, [7], 1, 0, 8)[0] == 0.0)
+        one = wp.log_increments_multi(spec, 0.0, [7], 1, tree.flat_index(tree.Vertex(1, 0)), 1)[0]
         assert np.exp(one).tolist() == [1.0]
 
     def test_multi_matches_single_seed_rows(self):
@@ -148,7 +148,7 @@ class TestIncrements:
         seeds = np.array([11, 99], dtype=np.uint64)
         multi = wp.log_increments_multi(spec, 0.2, seeds, 3, 0, 32)
         for i, s in enumerate(seeds):
-            row = wp.log_increments(spec, 0.2, int(s), 3, 0, 32)
+            row = wp.log_increments_multi(spec, 0.2, [int(s)], 3, 0, 32)[0]
             assert np.array_equal(multi[i], row)
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
@@ -156,29 +156,29 @@ class TestIncrements:
         # keys are taken mod 2^64 in both samplers: -3 and 2^64 + 5 are
         # batch seeds as valid as they are single ones
         multi = wp.log_increments_multi(spec, 0.1, [-3, 2**64 + 5], 1, 0, 14)
-        assert np.array_equal(multi[0], wp.log_increments(spec, 0.1, -3, 1, 0, 14))
-        assert np.array_equal(multi[1], wp.log_increments(spec, 0.1, 5, 1, 0, 14))
+        assert np.array_equal(multi[0], wp.log_increments_multi(spec, 0.1, [-3], 1, 0, 14)[0])
+        assert np.array_equal(multi[1], wp.log_increments_multi(spec, 0.1, [5], 1, 0, 14)[0])
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     def test_one_vertex_draw_matches_bulk(self, spec):
         # draws are keyed: a vertex's increment is the same alone or in a range
         index = tree.flat_index(tree.Vertex(3, 5))
-        bulk = wp.log_increments(spec, 0.25, 13, 2, 0, 14)
-        one = wp.log_increments(spec, 0.25, 13, 2, index, 1)
+        bulk = wp.log_increments_multi(spec, 0.25, [13], 2, 0, 14)[0]
+        one = wp.log_increments_multi(spec, 0.25, [13], 2, index, 1)[0]
         assert one.tobytes() == bulk[index : index + 1].tobytes()
 
     def test_gaussian_increment_moments(self):
         # frozen-seed Monte Carlo against the analytic law of log W
         spec = wp.gaussian_spec()
         t = 0.4
-        x = wp.log_increments(spec, t, 2024, 1, 0, 200_000)
+        x = wp.log_increments_multi(spec, t, [2024], 1, 0, 200_000)[0]
         assert np.mean(x) == pytest.approx(-t / 2, abs=4 * math.sqrt(t / len(x)))
         assert np.var(x) == pytest.approx(t, rel=0.02)
 
     def test_compound_increment_mean_one(self):
         spec = wp.compound_poisson_spec()
         t = 0.5
-        w = np.exp(wp.log_increments(spec, t, 555, 1, 0, 200_000))
+        w = np.exp(wp.log_increments_multi(spec, t, [555], 1, 0, 200_000)[0])
         se = np.std(w) / math.sqrt(len(w))
         assert abs(np.mean(w) - 1.0) < 4 * se
 
@@ -186,7 +186,7 @@ class TestIncrements:
         # weights with no jumps take the exact compensation value e^{-lam t (M(1)-1)}
         spec = wp.compound_poisson_spec()
         t = 0.3
-        logw = wp.log_increments(spec, t, 321, 1, 0, 100_000)
+        logw = wp.log_increments_multi(spec, t, [321], 1, 0, 100_000)[0]
         m1 = math.exp(spec.jump_mean + spec.jump_sd**2 / 2)
         no_jump_value = -spec.rate * t * (m1 - 1.0)
         frac = np.mean(np.abs(logw - no_jump_value) < 1e-12)
@@ -194,7 +194,7 @@ class TestIncrements:
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            wp.log_increments(wp.gaussian_spec(), -0.1, 1, 1, 0, 4)
+            wp.log_increments_multi(wp.gaussian_spec(), -0.1, [1], 1, 0, 4)
 
     @pytest.mark.parametrize("spec", [wp.gaussian_spec(), wp.compound_poisson_spec()])
     @pytest.mark.parametrize("duration", [0.0, 0.2])
